@@ -17,7 +17,6 @@ DEGENERATE_THETA_TOL = 1e-9
 
 __all__ = [
     "DEGENERATE_THETA_TOL",
-    "BLOCH_RADIUS",
     "CanonicalFrame",
     "WindSpec",
     "state_to_bloch",
@@ -26,8 +25,6 @@ __all__ = [
     "transform_wind",
     "wind_operator",
 ]
-
-BLOCH_RADIUS = 0.5
 
 
 def state_to_bloch(psi):

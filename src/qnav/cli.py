@@ -331,13 +331,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TaskFileError, NotUnitaryError, NotHermitianError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except NotInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except ValueError as exc:
+    except (
+        TaskFileError,
+        NotUnitaryError,
+        NotHermitianError,
+        DimensionError,
+        NotInvariantError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except WindTooStrongError as exc:

@@ -40,7 +40,6 @@ __all__ = [
     "require_unitary",
     "split_trace",
     "spectral_span",
-    "state_fidelity",
 ]
 
 
@@ -233,10 +232,3 @@ def spectral_span(h):
     """Spread max - min of the eigenvalues of a Hermitian operator."""
     w = np.linalg.eigvalsh(h.matrix)
     return float(w[-1] - w[0])
-
-
-def state_fidelity(psi, phi):
-    """Overlap probability |<psi|phi>|^2 of two pure states."""
-    if psi.dim != phi.dim:
-        raise DimensionError(f"dim mismatch {psi.dim} vs {phi.dim}")
-    return float(np.abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)

@@ -9,6 +9,7 @@ time tau(phi) = alpha/omega, minimizes tau over phi, and assembles the
 optimal total and control Hamiltonians back in lab coordinates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,14 +251,13 @@ def tau_of_phi(ctask, phi):
 
 
 def _voyage_curve(ctask, phis):
-    """Vectorized (omega, rho, alpha, tau) along an array of angles."""
+    """Vectorized (omega, alpha, tau) along an array of angles."""
     omega = np.asarray(omega_of_phi(ctask.wind, phis), dtype=float)
-    rho = rho_of_phi(ctask.theta, phis)
     alpha = np.asarray(alpha_of_phi(ctask.theta, phis), dtype=float)
     resid = np.max(np.abs(_omega_residual(ctask.wind, phis, omega)))
     if resid > CONSTRAINT_RESIDUAL_TOL:
         raise ArithmeticError(f"constraint residual {resid:.3e} on sweep grid")
-    return omega, rho, alpha, alpha / omega
+    return omega, alpha, alpha / omega
 
 
 def sweep(task, n_points=DEFAULT_GRID_POINTS):
@@ -266,7 +266,8 @@ def sweep(task, n_points=DEFAULT_GRID_POINTS):
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     ctask = canonicalize(task)
     phis = 2.0 * np.pi * np.arange(n_points) / n_points
-    omega, rho, alpha, tau = _voyage_curve(ctask, phis)
+    omega, alpha, tau = _voyage_curve(ctask, phis)
+    rho = rho_of_phi(ctask.theta, phis)
     return [
         SweepRecord(
             phi=float(phis[k]),
@@ -296,8 +297,44 @@ def principal_voyage_time(ctask, phis):
     return np.arccos(np.clip(g, -1.0, 1.0)) / omega
 
 
+def _refine_objective(ctask, seen):
+    """Scalar tau(phi) for golden refinement, appending each phi to seen.
+
+    The per-task constants are computed once; each call then repeats the
+    float64 operations of alpha_of_phi(theta, phi) / omega_of_phi(wind, phi)
+    in the same order, so the two agree bit for bit. The orientation
+    cross-check is left to the caller, which runs it on all of seen at once.
+    """
+    eps = ctask.wind.epsilon
+    x, y = float(ctask.wind.axis[0]), float(ctask.wind.axis[1])
+    two_eps = 2.0 * eps
+    slack = 2.0 * (1.0 - eps)
+    gain = float(np.sqrt(2.0 * eps))
+    antipodal = ctask.theta >= np.pi - DEGENERATE_THETA_TOL
+    t2 = float(np.tan(ctask.theta / 2.0) ** 2)
+    two_pi = 2.0 * np.pi
+
+    def tau(phi):
+        seen.append(phi)
+        s = float(np.sin(phi))
+        p = x * float(np.cos(phi)) + y * s
+        omega = math.sqrt(two_eps * p * p + slack) + gain * p
+        if antipodal:
+            return np.pi / omega
+        g = (s * s - t2) / (s * s + t2)
+        base = float(np.arccos(min(max(g, -1.0), 1.0)))
+        alpha = base if s > 0.0 else two_pi - base if s < 0.0 else np.pi
+        return alpha / omega
+
+    return tau
+
+
 def _refine_half(ctask, phis, tau, lo, hi, tol):
-    """Golden refinement around the grid minimum strictly inside (lo, hi)."""
+    """Golden refinement around the grid minimum strictly inside (lo, hi).
+
+    Every angle the search evaluates is cross-checked against the vector
+    geometry in one batched alpha_of_phi call after the search.
+    """
     inside = (phis > lo) & (phis < hi)
     if not np.any(inside):
         return None
@@ -309,8 +346,10 @@ def _refine_half(ctask, phis, tau, lo, hi, tol):
     right = min(float(right), hi)
     if right <= left:
         return float(phis[best]), float(tau[best])
-    f = lambda p: float(alpha_of_phi(ctask.theta, p)) / float(omega_of_phi(ctask.wind, p))
-    return golden_min(f, left, right, tol)
+    seen = []
+    refined = golden_min(_refine_objective(ctask, seen), left, right, tol)
+    alpha_of_phi(ctask.theta, np.asarray(seen))
+    return refined
 
 
 def _assemble(task, ctask, phi_star):
@@ -362,7 +401,7 @@ def optimize(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
         return _assemble(task, ctask, np.pi / 2.0)
 
     phis = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    _, _, _, tau = _voyage_curve(ctask, phis)
+    _, _, tau = _voyage_curve(ctask, phis)
 
     candidates = []
     for lo, hi in ((0.0, np.pi), (np.pi, 2.0 * np.pi)):

@@ -18,8 +18,11 @@ from qnav import (
     sweep,
     tau_of_phi,
 )
+from qnav import state_nav
 from qnav.bloch import WindSpec
 from qnav.state_nav import (
+    DEFAULT_GRID_POINTS,
+    _refine_objective,
     alpha_geometric,
     canonicalize,
     principal_voyage_time,
@@ -331,6 +334,57 @@ def test_mirror_y_alone_is_not_a_first_passage_symmetry():
     sol_a = optimize(make_task(np.pi / 2.0, 0.9, [x, y, z]))
     sol_b = optimize(make_task(np.pi / 2.0, 0.9, [x, -y, z]))
     assert sol_b.tau_star > sol_a.tau_star + 1.0
+
+
+def test_refine_objective_matches_public_formulas_bitwise(rng):
+    """The hoisted scalar objective is alpha_of_phi / omega_of_phi to the last bit,
+    in both halves and within 1e-6 of the joins at 0 and pi."""
+    thetas = list(rng.uniform(0.05, np.pi - 0.05, size=30)) + [0.05, np.pi - 0.05, np.pi]
+    for theta in thetas:
+        ctask = canonical_ctask(theta, rng.uniform(0.01, 0.99), random_unit_axis(rng))
+        near = rng.uniform(0.0, 1e-6, size=8)
+        phis = np.concatenate(
+            [
+                rng.uniform(0.0, np.pi, size=20),
+                rng.uniform(np.pi, 2.0 * np.pi, size=20),
+                near,
+                np.pi - near,
+                np.pi + near,
+                2.0 * np.pi - near,
+                [0.0, np.pi],
+            ]
+        )
+        seen = []
+        objective = _refine_objective(ctask, seen)
+        for phi in map(float, phis):
+            expected = float(alpha_of_phi(ctask.theta, phi)) / float(omega_of_phi(ctask.wind, phi))
+            assert objective(phi) == expected, (theta, phi)
+        assert seen == [float(p) for p in phis]
+
+
+def test_optimize_cross_checks_every_refined_angle(monkeypatch):
+    """Perturb the geometry at off-grid angles of the losing half only: the
+    grid scan, the boundary candidates and the assembled optimum (in the
+    first half) never see it, so only the batched check of the golden
+    evaluations can raise."""
+    task = benchmark_task()
+    grid = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS) / DEFAULT_GRID_POINTS
+    real = state_nav.alpha_geometric
+
+    def perturbed(shift):
+        def geo(theta, phi):
+            phi = np.asarray(phi, dtype=float)
+            off = (phi > np.pi) & ~np.isin(phi, grid)
+            out = np.asarray(real(theta, phi)) + np.where(off, shift, 0.0)
+            return out if out.ndim else float(out)
+
+        return geo
+
+    monkeypatch.setattr(state_nav, "alpha_geometric", perturbed(1e-10))
+    assert optimize(task).phi_star < np.pi
+    monkeypatch.setattr(state_nav, "alpha_geometric", perturbed(1e-6))
+    with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
+        optimize(task)
 
 
 def test_optimize_validates_settings():
