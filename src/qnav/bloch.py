@@ -9,8 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTaskError, DimensionError, WindTooStrongError
-from .linalg import HermitianOperator, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_decompose, split_trace
+from .errors import DegenerateTaskError, DimensionError
+from .linalg import (
+    HermitianOperator, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_decompose, require_wind_below_budget,
+    split_trace,
+)
 
 # below this separation the task is degenerate, above pi minus it antipodal
 DEGENERATE_THETA_TOL = 1e-9
@@ -131,10 +134,7 @@ class WindSpec:
         eps = float(self.epsilon)
         if eps < 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {eps}")
-        if eps >= 1.0:
-            raise WindTooStrongError(
-                f"background trace norm {eps:.6g} reaches the unit control budget"
-            )
+        require_wind_below_budget(eps)
         object.__setattr__(self, "epsilon", eps)
         if eps == 0.0:
             object.__setattr__(self, "axis", None)
@@ -167,10 +167,6 @@ def transform_wind(frame, h0):
     _, traceless = split_trace(h0)
     _, a = pauli_decompose(traceless)
     eps = 2.0 * float(np.dot(a, a))
-    if eps >= 1.0:
-        raise WindTooStrongError(
-            f"background trace norm {eps:.6g} reaches the unit control budget"
-        )
     if eps == 0.0:
         return WindSpec(epsilon=0.0, axis=None)
     axis_lab = a / np.linalg.norm(a)

@@ -28,13 +28,8 @@ from .errors import (
     WindTooStrongError,
 )
 from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
-from .linalg import (
-    HermitianOperator,
-    expm_unitary,
-    hs_trace_product,
-    spectral_span,
-)
-from .oracle import first_passage, gate_mismatch
+from .linalg import HermitianOperator, spectral_span
+from .oracle import HERMITIAN_TOL, first_passage, solution_checks
 from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, optimize, sweep
 from .subspace import detect_and_reduce, solve_embedded
 from .taskio import (
@@ -169,9 +164,6 @@ def cmd_solve_gate(args):
     else:
         solution = solve_gate_min_branch(task, args.max_branch)
 
-    budget_residual = abs(
-        hs_trace_product(solution.h_control, solution.h_control) - 1.0
-    )
     doc = {
         "mode": "gate",
         "meta": _meta(),
@@ -182,7 +174,7 @@ def cmd_solve_gate(args):
         "h_total": matrix_pairs(solution.h_total.matrix),
         "h_control": matrix_pairs(solution.h_control.matrix),
         "gate_residual": solution.gate_residual,
-        "constraint_residual": budget_residual,
+        "constraint_residual": solution.constraint_residual,
     }
     if args.max_branch > 0:
         table = sorted(branch_survey(task, args.max_branch), key=lambda bt: (bt[1], bt[0]))
@@ -241,42 +233,24 @@ def cmd_verify(args):
             f"result dim {h_total_raw.shape[0]} does not match task dim {h0.dim}"
         )
 
-    checks = []
     herm_drift = max(
         float(np.max(np.abs(h_total_raw - h_total_raw.conj().T))),
         float(np.max(np.abs(h_control_raw - h_control_raw.conj().T))),
     )
-    checks.append(("hermitian", herm_drift <= 1e-10, f"drift {herm_drift:.3e}"))
-
-    h_total = _hermitize(h_total_raw)
-    h_control = _hermitize(h_control_raw)
-    budget = hs_trace_product(h_control, h_control)
-    checks.append(
-        ("control_budget", abs(budget - 1.0) <= 1e-9, f"|tr(Hc^2)-1| = {abs(budget - 1.0):.3e}")
-    )
-    trace_leak = abs(float(np.real(np.trace(h_control.matrix))))
-    checks.append(("control_traceless", trace_leak <= 1e-10, f"|tr Hc| = {trace_leak:.3e}"))
-    decomp = float(np.max(np.abs((h_total.matrix - h_control.matrix) - h0.matrix)))
-    checks.append(
-        ("decomposition", decomp <= 1e-10, f"|(Ht - Hc) - h0|_max = {decomp:.3e}")
-    )
-
+    h_total, h_control = _hermitize(h_total_raw), _hermitize(h_control_raw)
+    task = loaded.task
     if mode == "gate":
-        t_voyage = _result_float(result, "voyage_time")
-        phase = _result_float(result, "global_phase")
-        task = loaded.task
-        residual = gate_mismatch(h_total, task.u_initial, task.u_final, t_voyage, phase)
-        checks.append(("gate_relation", residual <= 1e-9, f"residual {residual:.3e}"))
+        t = _result_float(result, "voyage_time")
+        target = {"gate": (task.u_initial, task.u_final, _result_float(result, "global_phase"))}
     else:
-        tau = _result_float(result, "tau_star")
-        task = loaded.task
-        u = expm_unitary(h_total, tau)
-        final = u @ task.psi_initial.amplitudes
-        fid = float(np.abs(np.vdot(task.psi_final.amplitudes, final)) ** 2)
-        checks.append(("fidelity", fid >= 1.0 - 1e-9, f"fidelity {fid:.12f}"))
+        t = _result_float(result, "tau_star")
+        target = {"states": (task.psi_initial, task.psi_final)}
+    checks = solution_checks(h_total, h_control, h0, t, **target)
 
-    all_ok = all(ok for _, ok, _ in checks)
-    for name, ok, detail in checks:
+    lines = [("hermitian", herm_drift <= HERMITIAN_TOL, f"drift {herm_drift:.3e}")]
+    lines += [(name, c.passed, c.detail) for name, c in checks.items()]
+    all_ok = all(ok for _, ok, _ in lines)
+    for name, ok, detail in lines:
         sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
     sys.stdout.write(f"verify: {'PASS' if all_ok else 'FAIL'}\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED

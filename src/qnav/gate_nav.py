@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NoOpGateError, WindTooStrongError
+from .errors import DimensionError, NoOpGateError
 from .linalg import (
     HermitianOperator,
-    expm_unitary,
     hs_trace_product,
     require_unitary,
+    require_wind_below_budget,
     split_trace,
     unitary_eigenphases,
 )
+from .oracle import require_passed, solution_checks
 
-GATE_RESIDUAL_TOL = 1e-9
 # tr(X^2) at or below this is treated as the identity relation
 NOOP_TRACE_TOL = 1e-20
 
@@ -54,11 +54,7 @@ class GateTask:
                 f"background dim {self.h0.dim} does not match gate dim {ui.shape[0]}"
             )
         _, traceless = split_trace(self.h0)
-        strength = hs_trace_product(traceless, traceless)
-        if strength >= 1.0:
-            raise WindTooStrongError(
-                f"background trace norm {strength:.6g} reaches the unit control budget"
-            )
+        require_wind_below_budget(hs_trace_product(traceless, traceless))
         ui = ui.copy()
         uf = uf.copy()
         ui.setflags(write=False)
@@ -77,7 +73,8 @@ class GateSolution:
 
     branch holds the eigenphase offsets applied on top of the canonical
     zero-trace baseline. global_phase is the phase gamma with
-    e^{i gamma} e^{-i h_total T} u_initial = u_final.
+    e^{i gamma} e^{-i h_total T} u_initial = u_final. gate_residual and
+    constraint_residual are the gate_relation and control_budget values.
     """
 
     voyage_time: float
@@ -87,6 +84,7 @@ class GateSolution:
     generator: HermitianOperator
     global_phase: float
     gate_residual: float
+    constraint_residual: float
 
 
 def _canonical_phases(task):
@@ -148,20 +146,11 @@ def solve_gate(task, branch=None):
 
     h_total = HermitianOperator(x.matrix / t_voyage + h0_trace_half * np.eye(n))
     h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
-    budget_residual = abs(hs_trace_product(h_control, h_control) - 1.0)
-
     global_phase = h0_trace_half * t_voyage + su_phase
-    prop = expm_unitary(h_total, t_voyage)
-    residual = float(
-        np.max(
-            np.abs(np.exp(1j * global_phase) * (prop @ task.u_initial) - task.u_final)
-        )
+    checks = solution_checks(
+        h_total, h_control, task.h0, t_voyage, gate=(task.u_initial, task.u_final, global_phase)
     )
-    if budget_residual > GATE_RESIDUAL_TOL or residual > GATE_RESIDUAL_TOL:
-        raise ArithmeticError(
-            f"gate verification failed: |tr(Hc^2)-1|={budget_residual:.3e}, "
-            f"relation residual={residual:.3e}"
-        )
+    require_passed(checks, "gate")
     return GateSolution(
         voyage_time=float(t_voyage),
         h_total=h_total,
@@ -169,7 +158,8 @@ def solve_gate(task, branch=None):
         branch=tuple(int(k) for k in offs),
         generator=x,
         global_phase=float(global_phase),
-        gate_residual=residual,
+        gate_residual=checks["gate_relation"].value,
+        constraint_residual=checks["control_budget"].value,
     )
 
 

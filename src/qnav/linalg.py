@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NotHermitianError, NotUnitaryError
+from .errors import DimensionError, NotHermitianError, NotUnitaryError, WindTooStrongError
 
 HERMITIAN_DRIFT_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -39,6 +39,7 @@ __all__ = [
     "unitary_eigenphases",
     "require_unitary",
     "split_trace",
+    "require_wind_below_budget",
     "spectral_span",
 ]
 
@@ -226,6 +227,14 @@ def split_trace(h):
     a0 = float(np.real(np.trace(h.matrix))) / h.dim
     rest = h.matrix - a0 * np.eye(h.dim)
     return a0, HermitianOperator(rest)
+
+
+def require_wind_below_budget(strength):
+    """Reject a traceless background trace norm that reaches the unit control budget."""
+    if strength >= 1.0:
+        raise WindTooStrongError(
+            f"background trace norm {strength:.6g} reaches the unit control budget"
+        )
 
 
 def spectral_span(h):

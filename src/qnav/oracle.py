@@ -4,27 +4,37 @@ Samples the transfer fidelity f(t) = |<psi_f| e^{-i h t} |psi_i>|^2 on a
 uniform grid, brackets the first lobe that clears a coarse detection
 threshold, and refines the lobe peak by golden-section search. Nothing
 here touches the trigonometric navigator formulas; this module exists
-to check them from the outside.
+to check them from the outside. The solvers and `verify` run solution_checks.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import spectral_span
+from .linalg import expm_unitary, hs_trace_product, spectral_span
 from .minimize import golden_min
 
-# coarse bracketing threshold; confirmation threshold matches the solver
+# coarse bracketing threshold; confirmation is also the solution fidelity bound
 DETECT_THRESHOLD = 1.0 - 1e-6
 CONFIRM_THRESHOLD = 1.0 - 1e-9
 REFINE_XTOL = 1e-12
 
+HERMITIAN_TOL = 1e-10  # anti-Hermitian drift of a result read back by `verify`
+BUDGET_TOL = 1e-9
+TRACELESS_TOL = 1e-10
+DECOMP_TOL = 1e-10
+GATE_RELATION_TOL = 1e-9
+
 __all__ = [
     "PassageResult",
+    "Check",
     "first_passage",
     "fidelity_curve",
     "gate_mismatch",
+    "solution_checks",
+    "require_passed",
 ]
 
 
@@ -146,3 +156,46 @@ def gate_mismatch(h, u_initial, u_final, t, global_phase=0.0):
     prop = (v * np.exp(-1j * w * float(t))) @ v.conj().T
     delta = np.exp(1j * float(global_phase)) * (prop @ np.asarray(u_initial, dtype=complex))
     return float(np.max(np.abs(delta - np.asarray(u_final, dtype=complex))))
+
+
+class Check(NamedTuple):
+    """Value and verdict of one solution condition; fmt is applied only by detail."""
+
+    value: float
+    passed: bool
+    fmt: str
+
+    @property
+    def detail(self):
+        return self.fmt.format(self.value)
+
+
+def solution_checks(h_total, h_control, h0, t, *, states=None, gate=None):
+    """Checks keyed by name, in order: control_budget, control_traceless,
+    decomposition, then fidelity for states=(psi_initial, psi_final) or
+    gate_relation for gate=(u_initial, u_final, global_phase) at time t."""
+    budget = abs(hs_trace_product(h_control, h_control) - 1.0)
+    leak = abs(float(np.real(np.trace(h_control.matrix))))
+    decomp = float(np.max(np.abs((h_total.matrix - h_control.matrix) - h0.matrix)))
+    checks = {
+        "control_budget": Check(budget, budget <= BUDGET_TOL, "|tr(Hc^2)-1| = {:.3e}"),
+        "control_traceless": Check(leak, leak <= TRACELESS_TOL, "|tr Hc| = {:.3e}"),
+        "decomposition": Check(decomp, decomp <= DECOMP_TOL, "|(Ht - Hc) - h0|_max = {:.3e}"),
+    }
+    if states is not None:
+        psi_i, psi_f = states
+        final = expm_unitary(h_total, t) @ psi_i.amplitudes
+        fid = float(np.abs(np.vdot(psi_f.amplitudes, final)) ** 2)
+        checks["fidelity"] = Check(fid, fid >= CONFIRM_THRESHOLD, "fidelity {:.12f}")
+    else:
+        u_i, u_f, phase = gate
+        res = gate_mismatch(h_total, u_i, u_f, t, phase)
+        checks["gate_relation"] = Check(res, res <= GATE_RELATION_TOL, "residual {:.3e}")
+    return checks
+
+
+def require_passed(checks, what):
+    """Raise one ArithmeticError naming every failed check, if any failed."""
+    failed = [f"{name} ({c.detail})" for name, c in checks.items() if not c.passed]
+    if failed:
+        raise ArithmeticError(f"{what} verification failed: {', '.join(failed)}")

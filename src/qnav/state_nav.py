@@ -21,18 +21,18 @@ from .bloch import (
     build_canonical_frame,
     transform_wind,
 )
-from .errors import DimensionError, WindTooStrongError
+from .errors import DimensionError
 from .linalg import (
     HermitianOperator,
     StateVector,
-    expm_unitary,
     hs_trace_product,
     pauli_compose,
+    require_wind_below_budget,
     split_trace,
 )
 from .minimize import golden_min
+from .oracle import CONFIRM_THRESHOLD as FIDELITY_THRESHOLD, require_passed, solution_checks
 
-FIDELITY_THRESHOLD = 1.0 - 1e-9
 CONSTRAINT_RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_PHI_TOL = 1e-10
@@ -83,11 +83,7 @@ class NavigationTask:
         # the check moves there
         if self.h0.dim == 2:
             _, traceless = split_trace(self.h0)
-            strength = hs_trace_product(traceless, traceless)
-            if strength >= 1.0:
-                raise WindTooStrongError(
-                    f"background trace norm {strength:.6g} reaches the unit control budget"
-                )
+            require_wind_below_budget(hs_trace_product(traceless, traceless))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +190,13 @@ def alpha_geometric(theta, phi):
     return ang if ang.ndim else float(ang)
 
 
+def _principal_angle(theta, s):
+    """Rotation angle in [0, pi] from the arccos formula, for s = sin(phi)."""
+    t2 = np.tan(theta / 2.0) ** 2
+    g = (s * s - t2) / (s * s + t2)
+    return np.arccos(np.clip(g, -1.0, 1.0))
+
+
 def alpha_of_phi(theta, phi):
     """First-passage rotation angle about the equatorial axis at phi.
 
@@ -208,9 +211,7 @@ def alpha_of_phi(theta, phi):
         out = np.full(phi.shape, np.pi)
         return out if phi.ndim else float(np.pi)
     s = np.sin(phi)
-    t2 = np.tan(theta / 2.0) ** 2
-    g = (s * s - t2) / (s * s + t2)
-    base = np.arccos(np.clip(g, -1.0, 1.0))
+    base = _principal_angle(theta, s)
     alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
 
     check = np.abs(s) > _ORIENTATION_CHECK_MIN_SIN
@@ -291,10 +292,7 @@ def principal_voyage_time(ctask, phis):
     omega = np.asarray(omega_of_phi(ctask.wind, phis), dtype=float)
     if ctask.theta >= np.pi - DEGENERATE_THETA_TOL:
         return np.full(phis.shape, np.pi) / omega
-    s = np.sin(phis)
-    t2 = np.tan(ctask.theta / 2.0) ** 2
-    g = (s * s - t2) / (s * s + t2)
-    return np.arccos(np.clip(g, -1.0, 1.0)) / omega
+    return _principal_angle(ctask.theta, np.sin(phis)) / omega
 
 
 def _refine_objective(ctask, seen):
@@ -358,19 +356,10 @@ def _assemble(task, ctask, phi_star):
     axis_lab = ctask.frame.to_lab([np.cos(phi_star), np.sin(phi_star), 0.0])
     h_total = pauli_compose(ctask.h0_trace_half, 0.5 * rec.omega * axis_lab)
     h_control = HermitianOperator(h_total.matrix - ctask.h0.matrix)
-
-    budget = hs_trace_product(h_control, h_control)
-    constraint_residual = abs(budget - 1.0)
-    trace_leak = abs(float(np.real(np.trace(h_control.matrix))))
-    u = expm_unitary(h_total, rec.tau)
-    final = u @ task.psi_initial.amplitudes
-    fidelity = float(np.abs(np.vdot(task.psi_final.amplitudes, final)) ** 2)
-    if constraint_residual > 1e-9 or trace_leak > 1e-10 or fidelity < FIDELITY_THRESHOLD:
-        raise ArithmeticError(
-            "solution verification failed: "
-            f"|tr(Hc^2)-1|={constraint_residual:.3e}, "
-            f"|tr Hc|={trace_leak:.3e}, fidelity={fidelity!r}"
-        )
+    checks = solution_checks(
+        h_total, h_control, task.h0, rec.tau, states=(task.psi_initial, task.psi_final)
+    )
+    require_passed(checks, "solution")
     return NavigationSolution(
         phi_star=float(phi_star),
         omega_star=rec.omega,
@@ -378,8 +367,8 @@ def _assemble(task, ctask, phi_star):
         theta=ctask.theta,
         h_total=h_total,
         h_control=h_control,
-        fidelity_check=fidelity,
-        constraint_residual=constraint_residual,
+        fidelity_check=checks["fidelity"].value,
+        constraint_residual=checks["control_budget"].value,
     )
 
 

@@ -6,22 +6,17 @@ on that span. The optimal control then lives entirely on the block and
 the orthogonal complement just evolves under the background.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bloch import DEGENERATE_THETA_TOL
 from .errors import DegenerateTaskError, NotInvariantError
-from .linalg import (
-    HermitianOperator,
-    StateVector,
-    expm_unitary,
-    hs_trace_product,
-)
+from .linalg import HermitianOperator, StateVector
+from .oracle import require_passed, solution_checks
 from .state_nav import (
     DEFAULT_GRID_POINTS,
     DEFAULT_PHI_TOL,
-    FIDELITY_THRESHOLD,
-    NavigationSolution,
     NavigationTask,
     optimize,
 )
@@ -69,7 +64,7 @@ def detect_and_reduce(task):
     psi_f = task.psi_final.amplitudes
     overlap = np.vdot(psi_i, psi_f)
     theta = 2.0 * float(np.arccos(np.clip(abs(overlap), 0.0, 1.0)))
-    if theta < 1e-9:
+    if theta < DEGENERATE_THETA_TOL:
         raise DegenerateTaskError(
             f"states coincide (separation {theta:.3e}); tau = 0, no control needed"
         )
@@ -128,22 +123,14 @@ def solve_embedded(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
         basis @ sol2.h_total.matrix @ basis.conj().T + comp @ task.h0.matrix @ comp
     )
     h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
-
-    budget_residual = abs(hs_trace_product(h_control, h_control) - 1.0)
-    final = expm_unitary(h_total, sol2.tau_star) @ task.psi_initial.amplitudes
-    fidelity = float(np.abs(np.vdot(task.psi_final.amplitudes, final)) ** 2)
-    if budget_residual > 1e-9 or fidelity < FIDELITY_THRESHOLD:
-        raise ArithmeticError(
-            f"embedded verification failed: |tr(Hc^2)-1|={budget_residual:.3e}, "
-            f"fidelity={fidelity!r}"
-        )
-    return NavigationSolution(
-        phi_star=sol2.phi_star,
-        omega_star=sol2.omega_star,
-        tau_star=sol2.tau_star,
-        theta=sol2.theta,
+    checks = solution_checks(
+        h_total, h_control, task.h0, sol2.tau_star, states=(task.psi_initial, task.psi_final)
+    )
+    require_passed(checks, "embedded")
+    return replace(
+        sol2,
         h_total=h_total,
         h_control=h_control,
-        fidelity_check=fidelity,
-        constraint_residual=budget_residual,
+        fidelity_check=checks["fidelity"].value,
+        constraint_residual=checks["control_budget"].value,
     )

@@ -236,7 +236,8 @@ def test_verify_gate_result(tmp_path, capsys):
     capsys.readouterr()
     code, out = run(capsys, ["verify", str(result), task])
     assert code == 0
-    assert "gate_relation: PASS" in out
+    for name in ("control_budget", "control_traceless", "decomposition", "gate_relation"):
+        assert f"{name}: PASS" in out
 
     doc = json.loads(result.read_text())
     doc["global_phase"] = doc["global_phase"] + 0.2

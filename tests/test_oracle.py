@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 import qnav.oracle
+import qnav.subspace
 from qnav import (
+    GateTask,
     HermitianOperator,
+    NavigationTask,
     StateVector,
     expm_unitary,
     fidelity_curve,
     first_passage,
     gate_mismatch,
+    optimize,
     pauli_compose,
+    solve_embedded,
+    solve_gate,
     tau_of_phi,
 )
 from qnav.linalg import SIGMA_Y
 from qnav.state_nav import canonicalize
 
-from conftest import benchmark_task, haar_unitary, make_task, random_unit_axis
+from conftest import benchmark_task, haar_unitary, make_task, random_unit_axis, wind_from_axis
 
 
 def assembled_hamiltonian(ctask, rec):
@@ -149,3 +155,70 @@ def test_oracle_does_not_import_the_navigator():
     src = inspect.getsource(qnav.oracle)
     for name in ("state_nav", "gate_nav", "subspace", "bloch"):
         assert name not in src
+
+
+# check name -> (oracle bound, a value no solution can meet)
+UNMEETABLE = {
+    "control_budget": ("BUDGET_TOL", -1.0),
+    "control_traceless": ("TRACELESS_TOL", -1.0),
+    "decomposition": ("DECOMP_TOL", -1.0),
+    "fidelity": ("CONFIRM_THRESHOLD", 2.0),
+    "gate_relation": ("GATE_RELATION_TOL", -1.0),
+}
+SOLVER_CHECKS = [
+    (solver, check)
+    for solver, last in (
+        ("optimize", "fidelity"),
+        ("solve_embedded", "fidelity"),
+        ("solve_gate", "gate_relation"),
+    )
+    for check in ("control_budget", "control_traceless", "decomposition", last)
+]
+
+
+@pytest.mark.parametrize("solver, check", SOLVER_CHECKS)
+def test_solvers_raise_naming_the_failed_check(monkeypatch, solver, check):
+    """With one bound made unmeetable, each solver raises from the shared
+    checks and names that check and no other."""
+    bound, value = UNMEETABLE[check]
+
+    def tighten():
+        monkeypatch.setattr(qnav.oracle, bound, value)
+
+    if solver == "optimize":
+        tighten()
+        prefix, solve = "solution", lambda: optimize(benchmark_task())
+    elif solver == "solve_gate":
+        tighten()
+        task = GateTask(
+            u_initial=np.eye(2),
+            u_final=haar_unitary(np.random.default_rng(3)),
+            h0=wind_from_axis(0.3, [0.0, 0.6, 0.8]),
+        )
+        prefix, solve = "gate", lambda: solve_gate(task)
+    else:
+        # tighten only after the qubit block is solved, so that the
+        # embedded solution's own checks are the ones that raise
+        solve_block = qnav.subspace.optimize
+
+        def block_then_tighten(*args, **kwargs):
+            sol = solve_block(*args, **kwargs)
+            tighten()
+            return sol
+
+        monkeypatch.setattr(qnav.subspace, "optimize", block_then_tighten)
+        h0 = np.zeros((3, 3), dtype=complex)
+        h0[:2, :2] = wind_from_axis(0.4, [0.6, 0.0, 0.8]).matrix
+        h0[2, 2] = 0.3
+        task = NavigationTask(
+            psi_initial=StateVector([1.0, 0.0, 0.0]),
+            psi_final=StateVector(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)),
+            h0=HermitianOperator(h0),
+        )
+        prefix, solve = "embedded", lambda: solve_embedded(task)
+
+    with pytest.raises(ArithmeticError, match=f"^{prefix} verification failed: ") as err:
+        solve()
+    message = str(err.value)
+    assert check in message
+    assert not any(other in message for other in UNMEETABLE if other != check)
