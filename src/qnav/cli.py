@@ -228,10 +228,9 @@ def cmd_verify(args):
     h_total_raw = _result_matrix(result, "h_total")
     h_control_raw = _result_matrix(result, "h_control")
     h0 = loaded.task.h0
-    if h_total_raw.shape[0] != h0.dim:
-        raise TaskFileError(
-            f"result dim {h_total_raw.shape[0]} does not match task dim {h0.dim}"
-        )
+    for raw in (h_total_raw, h_control_raw):
+        if raw.shape[0] != h0.dim:
+            raise TaskFileError(f"result dim {raw.shape[0]} does not match task dim {h0.dim}")
 
     herm_drift = max(
         float(np.max(np.abs(h_total_raw - h_total_raw.conj().T))),

@@ -9,7 +9,6 @@ so eigendecomposition is used throughout instead of Pade-style schemes.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NotHermitianError, NotUnitaryError, WindTooStrongError
 
@@ -182,16 +181,22 @@ def unitary_eigenphases(u):
     """Eigenphases and eigenvectors of a unitary u = e^{-i X}.
 
     Returns (lam, q) with lam the real eigenphases of X in (-pi, pi]
-    sorted ascending and q the matching orthonormal eigenvector columns,
-    so that u = q diag(e^{-i lam}) q^dagger.
+    sorted ascending (stable sort) and q the matching orthonormal
+    eigenvector columns, so that u = q diag(e^{-i lam}) q^dagger.
+    Inside an exactly degenerate cluster the basis is arbitrary, so
+    branch offsets that differ within a cluster give a generator that
+    depends on it.
     """
     a = require_unitary(u)
-    # complex Schur of a normal matrix is a diagonalization with orthonormal columns
-    t, q = scipy.linalg.schur(a, output="complex")
-    lam = -np.angle(np.diagonal(t))
+    w, v = np.linalg.eig(a)
+    lam = -np.angle(w)
     lam = np.where(lam <= -np.pi, lam + 2.0 * np.pi, lam)
     order = np.argsort(lam, kind="stable")
-    return lam[order], np.ascontiguousarray(q[:, order])
+    # eig's eigenvectors for (nearly) equal phases need not be orthogonal;
+    # those of well-separated phases of a normal matrix already are, so QR
+    # of the phase-sorted columns mixes columns only within a cluster
+    q, _ = np.linalg.qr(v[:, order])
+    return lam[order], q
 
 
 def logm_unitary(u, branch_offsets=None):

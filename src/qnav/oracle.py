@@ -152,8 +152,7 @@ def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
 
 def gate_mismatch(h, u_initial, u_final, t, global_phase=0.0):
     """Largest entry of e^{i phase} e^{-i h t} u_initial - u_final."""
-    w, v = np.linalg.eigh(h.matrix)
-    prop = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    prop = expm_unitary(h, t)
     delta = np.exp(1j * float(global_phase)) * (prop @ np.asarray(u_initial, dtype=complex))
     return float(np.max(np.abs(delta - np.asarray(u_final, dtype=complex))))
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnav
 from qnav.cli import main
 from qnav.taskio import complex_pairs, matrix_pairs
 
@@ -245,6 +250,45 @@ def test_verify_gate_result(tmp_path, capsys):
     code, out = run(capsys, ["verify", bad, task])
     assert code == 1
     assert "gate_relation: FAIL" in out
+
+
+@pytest.mark.parametrize("bad_time", [float("inf"), float("nan")])
+def test_verify_gate_rejects_non_finite_time(tmp_path, capsys, bad_time):
+    task = write_json(tmp_path / "g.json", gate_doc())
+    result = tmp_path / "r.json"
+    assert main(["solve-gate", task, "--out", str(result)]) == 0
+    capsys.readouterr()
+    doc = json.loads(result.read_text())
+    doc["voyage_time"] = bad_time
+    code = main(["verify", write_json(tmp_path / "bad.json", doc), task])
+    assert code == 2
+    assert "time must be finite" in capsys.readouterr().err
+
+
+def test_verify_rejects_h_control_of_wrong_dim(tmp_path, capsys):
+    task = write_json(tmp_path / "t.json", state_doc())
+    result = tmp_path / "r.json"
+    assert main(["solve-state", task, "--out", str(result)]) == 0
+    capsys.readouterr()
+    doc = json.loads(result.read_text())
+    doc["h_control"] = matrix_pairs(np.eye(3) / np.sqrt(3.0))
+    code = main(["verify", write_json(tmp_path / "bad.json", doc), task])
+    assert code == 2
+    assert "result dim 3 does not match task dim 2" in capsys.readouterr().err
+
+
+def test_import_loads_no_dependency_but_numpy():
+    """A fresh interpreter that imports qnav loads no third-party package but numpy."""
+    src = str(Path(qnav.__file__).resolve().parents[1])
+    probe = (
+        "import sys; before = set(sys.modules); import qnav, qnav.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(*sorted(n for n in new - set(sys.stdlib_module_names) if not n.startswith('_')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["numpy", "qnav"]
 
 
 def test_exit_code_wind_too_strong(tmp_path, capsys):

@@ -157,12 +157,65 @@ def test_logm_roundtrip_random(rng):
             assert np.max(np.abs(expm_unitary(x, 1.0) - u)) <= 1e-10
 
 
+def assert_eigenphase_contract(u):
+    """Ascending phases in (-pi, pi], orthonormal q, and u = q e^{-i lam} q^H."""
+    lam, q = unitary_eigenphases(u)
+    assert np.all(lam > -np.pi) and np.all(lam <= np.pi)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(lam.size))) <= 1e-13
+    assert np.max(np.abs((q * np.exp(-1j * lam)) @ q.conj().T - u)) <= 1e-13
+
+
+def qft(n):
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+CNOT = np.eye(4)[[0, 1, 3, 2]]
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+TOFFOLI = np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+CZ = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
 def test_logm_eigenphase_window(rng):
-    for _ in range(50):
-        u = haar_unitary(rng, 3)
-        lam, _ = unitary_eigenphases(u)
-        assert np.all(lam > -np.pi) and np.all(lam <= np.pi)
-        assert np.all(np.diff(lam) >= 0.0)
+    for dim in range(2, 9):
+        for _ in range(50):
+            assert_eigenphase_contract(haar_unitary(rng, dim))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("centre", [0.4, np.pi])
+def test_eigenphases_degenerate_clusters(gap, centre, rng):
+    """A cluster of k phases within gap of centre, the rest spread out; at
+    centre pi the cluster straddles the window edge."""
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            phases = rng.uniform(-np.pi, np.pi, n)
+            phases[:k] = centre + gap * rng.standard_normal(k)
+            v = haar_unitary(rng, n)
+            assert_eigenphase_contract((v * np.exp(-1j * phases)) @ v.conj().T)
+
+
+@pytest.mark.parametrize(
+    "gate", [CNOT, SWAP, TOFFOLI, qft(4), qft(8), ISWAP, CZ],
+    ids=["cnot", "swap", "toffoli", "qft4", "qft8", "iswap", "cz"],
+)
+def test_eigenphases_standard_gates(gate, rng):
+    assert_eigenphase_contract(gate)
+    for _ in range(10):
+        v = haar_unitary(rng, gate.shape[0])
+        assert_eigenphase_contract(v @ gate @ v.conj().T)
+
+
+def test_logm_swap_is_basis_independent(rng):
+    """SWAP has phases 0 (three-fold) and pi, so the principal log is pi times
+    the antisymmetric projector whatever basis the cluster gets."""
+    for _ in range(10):
+        v = haar_unitary(rng, 4)
+        x = logm_unitary(v @ SWAP @ v.conj().T)
+        expected = v @ (0.5 * np.pi * (np.eye(4) - SWAP)) @ v.conj().T
+        assert np.max(np.abs(x.matrix - expected)) <= 1e-12
 
 
 def test_logm_rejects_non_unitary():

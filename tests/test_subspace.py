@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from qnav import (
     DegenerateTaskError,
@@ -15,6 +14,14 @@ from qnav import (
 )
 
 from conftest import haar_unitary, random_traceless_hermitian, symmetric_pair, wind_from_axis
+
+
+def block_diag(a, b):
+    """Square blocks a and b on the diagonal, zeros elsewhere."""
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=np.result_type(a, b))
+    out[: a.shape[0], : a.shape[0]] = a
+    out[a.shape[0] :, a.shape[0] :] = b
+    return out
 
 
 def embedded_task(n, block_h0, comp_h0):
