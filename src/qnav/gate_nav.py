@@ -7,8 +7,8 @@ logarithm branch is never guessed: callers pass explicit eigenphase
 offsets, or enumerate them.
 """
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +26,8 @@ from .oracle import require_passed, solution_checks
 
 # tr(X^2) at or below this is treated as the identity relation
 NOOP_TRACE_TOL = 1e-20
+# largest offset box (2*max_offset + 1)^(n - 1) a branch search may allocate
+MAX_BRANCH_CANDIDATES = 1 << 20
 
 __all__ = [
     "GateTask",
@@ -109,8 +111,11 @@ def _canonical_phases(task):
 
 
 def _voyage_time(a, b, c):
-    """Closed-form T from the overlap a = tr(h0 X), b = tr(X^2), budget c."""
-    disc = math.sqrt(a * a + c * b)
+    """Closed-form T from the overlap a = tr(h0 X), b = tr(X^2), budget c.
+
+    Scalars or arrays of branches alike.
+    """
+    disc = np.sqrt(a * a + c * b)
     return b / (disc + a)
 
 
@@ -129,8 +134,13 @@ def solve_gate(task, branch=None):
         raise DimensionError(f"branch must have length {n}, got shape {offs.shape}")
     if int(offs.sum()) != 0:
         raise ValueError(f"branch offsets must sum to zero, got {offs.tolist()}")
+    return _solve_on_branch(task, _canonical_phases(task), offs)
 
-    lam, q, su_phase = _canonical_phases(task)
+
+def _solve_on_branch(task, canonical, offs):
+    """Solve and check on branch offs, given _canonical_phases(task)."""
+    lam, q, su_phase = canonical
+    n = task.dim
     lam = lam + 2.0 * math.pi * offs
     x = HermitianOperator((q * lam) @ q.conj().T)
 
@@ -163,58 +173,78 @@ def solve_gate(task, branch=None):
     )
 
 
-def _branch_candidates(n, max_offset):
+def _offset_table(n, max_offset):
     """Zero-sum offset vectors with entries in [-max_offset, max_offset].
 
-    Yields in lexicographic order so that ties in voyage time resolve
-    to the lexicographically smallest vector.
+    Rows come in lexicographic order so that ties in voyage time resolve
+    to the lexicographically smallest vector. The box of leading offsets
+    is checked against MAX_BRANCH_CANDIDATES before it is allocated.
     """
-    rng = range(-max_offset, max_offset + 1)
-    for head in itertools.product(rng, repeat=n - 1):
-        last = -sum(head)
-        if -max_offset <= last <= max_offset:
-            yield head + (last,)
-
-
-def branch_survey(task, max_offset):
-    """Voyage time of every admissible branch, cheap scalar evaluation.
-
-    Returns a list of (branch, voyage_time) in enumeration order,
-    skipping branches whose generator vanishes.
-    """
+    # a Python int, so that the box size below cannot wrap around as a
+    # fixed-width numpy integer would
+    max_offset = operator.index(max_offset)
     if max_offset < 0:
         raise ValueError(f"max_offset must be >= 0, got {max_offset}")
-    lam, q, _ = _canonical_phases(task)
+    box = (2 * max_offset + 1) ** (n - 1)
+    if box > MAX_BRANCH_CANDIDATES:
+        raise ValueError(
+            f"branch box (2*{max_offset}+1)^{n - 1} = {box} exceeds "
+            f"MAX_BRANCH_CANDIDATES = {MAX_BRANCH_CANDIDATES}; lower max_offset"
+        )
+    head = np.indices((2 * max_offset + 1,) * (n - 1)).reshape(n - 1, -1).T - max_offset
+    last = -head.sum(axis=1)
+    keep = np.abs(last) <= max_offset
+    return np.column_stack((head[keep], last[keep]))
+
+
+def _survey(task, max_offset):
+    """Canonical phases, offset rows and their closed-form voyage times.
+
+    Rows whose generator vanishes are dropped.
+    """
+    offs = _offset_table(task.dim, max_offset)
+    canonical = _canonical_phases(task)
+    lam, q, _ = canonical
     _, h0_traceless = split_trace(task.h0)
     # diagonal of h0 in the eigenbasis of the gate relation
     weights = np.real(np.einsum("ij,ik,kj->j", q.conj(), h0_traceless.matrix, q))
     c = 1.0 - hs_trace_product(h0_traceless, h0_traceless)
-    out = []
-    for branch in _branch_candidates(task.dim, max_offset):
-        phases = lam + 2.0 * math.pi * np.asarray(branch, dtype=float)
-        b = float(np.dot(phases, phases))
-        if b <= NOOP_TRACE_TOL:
-            continue
-        a = float(np.dot(phases, weights))
-        out.append((branch, _voyage_time(a, b, c)))
-    return out
+    phases = lam + 2.0 * math.pi * offs
+    # vecdot runs the same ddot inner loop as np.dot on one row, so every
+    # b and a is bit-identical to a per-branch dot; einsum or @ is not
+    b = np.vecdot(phases, phases)
+    useful = b > NOOP_TRACE_TOL
+    offs, phases, b = offs[useful], phases[useful], b[useful]
+    a = np.vecdot(phases, weights)
+    return canonical, offs, _voyage_time(a, b, c)
+
+
+def branch_survey(task, max_offset):
+    """Voyage time of every admissible branch, batched over the offset box.
+
+    Returns a list of (branch, voyage_time) in lexicographic enumeration
+    order, skipping branches whose generator vanishes. Each time equals a
+    per-branch scalar evaluation bit for bit, since np.vecdot shares
+    np.dot's inner loop. Raises ValueError for a negative max_offset or a
+    box beyond MAX_BRANCH_CANDIDATES.
+    """
+    _, offs, times = _survey(task, max_offset)
+    return list(zip(map(tuple, offs.tolist()), times.tolist()))
 
 
 def solve_gate_min_branch(task, max_offset):
     """Fastest solution over all zero-sum branches within max_offset.
 
-    Enumerates branch vectors exhaustively, evaluates the closed-form
-    voyage time for each, and solves fully on the best one. Ties go to
-    the lexicographically smallest branch vector.
+    Evaluates the closed-form voyage time of every branch vector in one
+    batched survey, then solves fully on the best one with the same
+    eigendecomposition. Ties go to the lexicographically smallest branch
+    vector.
     """
-    survey = branch_survey(task, max_offset)
-    if not survey:
+    canonical, offs, times = _survey(task, max_offset)
+    if not times.size:
         raise NoOpGateError(
             "gate relation is the identity on every admissible branch; "
             "raise max_offset"
         )
-    best_branch, best_t = survey[0]
-    for branch, t_voyage in survey[1:]:
-        if t_voyage < best_t:
-            best_branch, best_t = branch, t_voyage
-    return solve_gate(task, best_branch)
+    # argmin returns the first minimum, the smallest branch in enumeration order
+    return _solve_on_branch(task, canonical, offs[np.argmin(times)])

@@ -175,6 +175,13 @@ def test_solve_gate_branch_table(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_gate_branch_box_too_large(tmp_path, capsys):
+    task = write_json(tmp_path / "g.json", gate_doc())
+    code = main(["solve-gate", task, "--max-branch", "600000"])
+    assert code == 2
+    assert "1200001" in capsys.readouterr().err
+
+
 def test_identity_gate_exit_paths(tmp_path, capsys):
     doc = gate_doc()
     doc["u_final"] = matrix_pairs(np.eye(2))

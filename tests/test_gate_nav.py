@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+import qnav.gate_nav
 from qnav import (
     DimensionError,
     GateTask,
@@ -18,7 +22,8 @@ from qnav import (
     solve_gate,
     solve_gate_min_branch,
 )
-from qnav.linalg import SIGMA_X, SIGMA_Z
+from qnav.gate_nav import MAX_BRANCH_CANDIDATES, NOOP_TRACE_TOL, _canonical_phases
+from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_trace
 
 from conftest import haar_state, haar_unitary, random_traceless_hermitian, wind_from_axis
 
@@ -72,6 +77,9 @@ def test_identity_gate_needs_nonzero_branch():
     task = gate_task(np.eye(2, dtype=complex), wind_from_axis(0.5, [0.0, 0.0, 1.0]))
     with pytest.raises(NoOpGateError):
         solve_gate(task)
+    assert branch_survey(task, 0) == []
+    with pytest.raises(NoOpGateError):
+        solve_gate_min_branch(task, 0)
     best = solve_gate_min_branch(task, 1)
     assert best.voyage_time == pytest.approx(4.0 * np.pi * (np.sqrt(2.0) - 1.0), abs=1e-10)
     assert best.branch == (1, -1)
@@ -85,6 +93,8 @@ def test_branch_validation():
         solve_gate(task, branch=(1, -1, 0))
     with pytest.raises(ValueError):
         branch_survey(task, -1)
+    with pytest.raises(ValueError):
+        solve_gate_min_branch(task, -1)
 
 
 def test_branch_survey_matches_full_solver():
@@ -202,3 +212,99 @@ def test_task_freezes_inputs(rng):
         task.u_final[0, 0] = 0.0
     src[0, 0] = 123.0  # caller keeps ownership of the original
     assert task.u_final[0, 0] != 123.0
+
+
+def per_branch_survey(task, max_offset):
+    """The survey as one scalar evaluation per offset vector: the reference
+    that the batched branch_survey must match bit for bit."""
+    lam, q, _ = _canonical_phases(task)
+    _, h0_traceless = split_trace(task.h0)
+    weights = np.real(np.einsum("ij,ik,kj->j", q.conj(), h0_traceless.matrix, q))
+    c = 1.0 - hs_trace_product(h0_traceless, h0_traceless)
+    rng = range(-max_offset, max_offset + 1)
+    out = []
+    for head in itertools.product(rng, repeat=task.dim - 1):
+        last = -sum(head)
+        if not -max_offset <= last <= max_offset:
+            continue
+        branch = head + (last,)
+        phases = lam + 2.0 * math.pi * np.asarray(branch, dtype=float)
+        b = float(np.dot(phases, phases))
+        if b <= NOOP_TRACE_TOL:
+            continue
+        a = float(np.dot(phases, weights))
+        out.append((branch, b / (math.sqrt(a * a + c * b) + a)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_survey_is_bitwise_the_per_branch_loop(rng, n):
+    for max_offset in range(4):
+        task = GateTask(
+            u_initial=haar_unitary(rng, n),
+            u_final=haar_unitary(rng, n),
+            h0=random_traceless_hermitian(rng, n, strength=float(rng.uniform(0.0, 0.9))),
+        )
+        reference = per_branch_survey(task, max_offset)
+        survey = branch_survey(task, max_offset)
+        assert survey == reference
+        # plain Python numbers, as the CLI's JSON branch table needs
+        assert all(type(k) is int for branch, _ in survey for k in branch)
+        assert all(type(t) is float for _, t in survey)
+        best_branch = min(reference, key=lambda bt: bt[1])[0]
+        best = solve_gate_min_branch(task, max_offset)
+        full = solve_gate(task, best_branch)
+        assert best.branch == full.branch == best_branch
+        for field in ("voyage_time", "global_phase", "gate_residual", "constraint_residual"):
+            assert getattr(best, field) == getattr(full, field)
+        for field in ("h_total", "h_control", "generator"):
+            assert getattr(best, field).matrix.tobytes() == getattr(full, field).matrix.tobytes()
+
+
+def test_windless_identity_tie_goes_to_smallest_branch():
+    task = gate_task(np.eye(2, dtype=complex), HermitianOperator(np.zeros((2, 2))))
+    times = dict(branch_survey(task, 1))
+    assert times[(-1, 1)] == times[(1, -1)]
+    assert solve_gate_min_branch(task, 1).branch == (-1, 1)
+
+
+def test_min_branch_decomposes_once(rng, monkeypatch):
+    calls = []
+    original = qnav.gate_nav.unitary_eigenphases
+
+    def counted(u):
+        calls.append(1)
+        return original(u)
+
+    monkeypatch.setattr(qnav.gate_nav, "unitary_eigenphases", counted)
+    task = GateTask(
+        u_initial=haar_unitary(rng, 3),
+        u_final=haar_unitary(rng, 3),
+        h0=random_traceless_hermitian(rng, 3, strength=0.4),
+    )
+    solve_gate_min_branch(task, 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, max_offset", [(8, 50), (11, np.int64(50))])
+def test_branch_box_bounded_before_allocation(rng, monkeypatch, n, max_offset):
+    """(2*50+1)^(n-1) offset vectors would not fit in memory; the search
+    refuses before decomposing the relation or building the table. At n = 11 the
+    box size overflows int64, so a numpy offset must not be multiplied out
+    as one."""
+    box = 101 ** (n - 1)
+    assert box > MAX_BRANCH_CANDIDATES >= 100 * 7**4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the bound check")
+
+    task = GateTask(
+        u_initial=haar_unitary(rng, n),
+        u_final=haar_unitary(rng, n),
+        h0=random_traceless_hermitian(rng, n, strength=0.3),
+    )
+    monkeypatch.setattr(qnav.gate_nav, "unitary_eigenphases", refuse)
+    monkeypatch.setattr(np, "indices", refuse)
+    for search in (branch_survey, solve_gate_min_branch):
+        with pytest.raises(ValueError, match=str(box)):
+            search(task, max_offset)
