@@ -48,7 +48,7 @@ from .oracle import PassageResult, fidelity_curve, first_passage, gate_mismatch
 from .state_nav import (
     NavigationSolution,
     NavigationTask,
-    SweepRecord,
+    VoyageCurve,
     alpha_of_phi,
     omega_of_phi,
     optimize,
@@ -85,7 +85,7 @@ __all__ = [
     "wind_operator",
     "NavigationTask",
     "NavigationSolution",
-    "SweepRecord",
+    "VoyageCurve",
     "omega_of_phi",
     "rho_of_phi",
     "alpha_of_phi",

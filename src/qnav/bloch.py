@@ -24,6 +24,7 @@ __all__ = [
     "WindSpec",
     "state_to_bloch",
     "angular_separation",
+    "distinct_separation",
     "build_canonical_frame",
     "transform_wind",
     "wind_operator",
@@ -39,12 +40,27 @@ def state_to_bloch(psi):
     return np.array([cross.real, cross.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2)])
 
 
+def _overlap_separation(psi_i, psi_f):
+    """Overlap <psi_i|psi_f> and the separation 2*arccos|<psi_i|psi_f>|, any dim."""
+    overlap = np.vdot(psi_i.amplitudes, psi_f.amplitudes)
+    return overlap, 2.0 * float(np.arccos(np.clip(abs(overlap), 0.0, 1.0)))
+
+
 def angular_separation(psi_i, psi_f):
     """Angle between the Bloch vectors of two states, 2*arccos|<psi_i|psi_f>|."""
     if psi_i.dim != 2 or psi_f.dim != 2:
         raise DimensionError("angular separation is defined for qubit states")
-    overlap = abs(np.vdot(psi_i.amplitudes, psi_f.amplitudes))
-    return 2.0 * float(np.arccos(np.clip(overlap, 0.0, 1.0)))
+    return _overlap_separation(psi_i, psi_f)[1]
+
+
+def distinct_separation(psi_i, psi_f):
+    """Overlap and separation of two states of any dim; DegenerateTaskError if they coincide."""
+    overlap, theta = _overlap_separation(psi_i, psi_f)
+    if theta < DEGENERATE_THETA_TOL:
+        raise DegenerateTaskError(
+            f"states coincide (separation {theta:.3e}); tau = 0, no control needed"
+        )
+    return overlap, theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +111,9 @@ def build_canonical_frame(psi_i, psi_f):
     states the in-plane direction is arbitrary; a deterministic
     tie-break is used and flagged on the returned frame.
     """
-    theta = angular_separation(psi_i, psi_f)
-    if theta < DEGENERATE_THETA_TOL:
-        raise DegenerateTaskError(
-            f"states coincide (separation {theta:.3e}); tau = 0, no control needed"
-        )
     b_i = state_to_bloch(psi_i)
     b_f = state_to_bloch(psi_f)
+    _, theta = distinct_separation(psi_i, psi_f)
     z_ax = b_i - b_f
     z_ax = z_ax / np.linalg.norm(z_ax)
     antipodal = theta > np.pi - DEGENERATE_THETA_TOL

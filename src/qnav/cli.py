@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .bloch import angular_separation
 from .errors import (
     DegenerateTaskError,
     DimensionError,
@@ -30,7 +31,7 @@ from .errors import (
 from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
 from .linalg import HermitianOperator, spectral_span
 from .oracle import HERMITIAN_TOL, first_passage, solution_checks
-from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, optimize, sweep
+from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, optimize, rho_of_phi, sweep
 from .subspace import detect_and_reduce, solve_embedded
 from .taskio import (
     dumps_result,
@@ -141,14 +142,12 @@ def cmd_sweep(args):
     loaded = load_task(args.task)
     if loaded.mode != "state":
         raise TaskFileError("sweep needs a state task")
-    records = sweep(loaded.task, n_points=args.points)
-    lines = ["phi,omega,rho,alpha,tau"]
-    for rec in records:
-        lines.append(
-            f"{rec.phi:.16e},{rec.omega:.16e},{rec.rho:.16e},"
-            f"{rec.alpha:.16e},{rec.tau:.16e}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    task = loaded.task
+    curve = sweep(task, n_points=args.points)
+    rho = rho_of_phi(angular_separation(task.psi_initial, task.psi_final), curve.phi)
+    columns = (curve.phi, curve.omega, rho, curve.alpha, curve.tau)
+    rows = ["%.16e,%.16e,%.16e,%.16e,%.16e\n" % row for row in zip(*(c.tolist() for c in columns))]
+    _emit("phi,omega,rho,alpha,tau\n" + "".join(rows), args.out)
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, NoOpGateError
 from .linalg import (
     HermitianOperator,
+    branch_generator,
     hs_trace_product,
     require_unitary,
     require_wind_below_budget,
@@ -126,24 +127,19 @@ def solve_gate(task, branch=None):
     canonical eigenphase; offsets must sum to zero so the generator
     stays traceless. Defaults to all zeros.
     """
-    n = task.dim
     if branch is None:
-        branch = (0,) * n
+        branch = (0,) * task.dim
+    lam, q, su_phase = _canonical_phases(task)
+    x = branch_generator(lam, q, branch)
     offs = np.asarray(branch, dtype=int)
-    if offs.shape != (n,):
-        raise DimensionError(f"branch must have length {n}, got shape {offs.shape}")
     if int(offs.sum()) != 0:
         raise ValueError(f"branch offsets must sum to zero, got {offs.tolist()}")
-    return _solve_on_branch(task, _canonical_phases(task), offs)
+    return _solve_on_branch(task, x, offs, su_phase)
 
 
-def _solve_on_branch(task, canonical, offs):
-    """Solve and check on branch offs, given _canonical_phases(task)."""
-    lam, q, su_phase = canonical
+def _solve_on_branch(task, x, offs, su_phase):
+    """Solve and check on the branch offs with generator x and SU phase su_phase."""
     n = task.dim
-    lam = lam + 2.0 * math.pi * offs
-    x = HermitianOperator((q * lam) @ q.conj().T)
-
     h0_trace_half, h0_traceless = split_trace(task.h0)
     b = hs_trace_product(x, x)
     if b <= NOOP_TRACE_TOL:
@@ -240,11 +236,12 @@ def solve_gate_min_branch(task, max_offset):
     eigendecomposition. Ties go to the lexicographically smallest branch
     vector.
     """
-    canonical, offs, times = _survey(task, max_offset)
+    (lam, q, su_phase), offs, times = _survey(task, max_offset)
     if not times.size:
         raise NoOpGateError(
             "gate relation is the identity on every admissible branch; "
             "raise max_offset"
         )
     # argmin returns the first minimum, the smallest branch in enumeration order
-    return _solve_on_branch(task, canonical, offs[np.argmin(times)])
+    best = offs[np.argmin(times)]
+    return _solve_on_branch(task, branch_generator(lam, q, best), best, su_phase)

@@ -34,6 +34,7 @@ __all__ = [
     "hs_trace_product",
     "expm_unitary",
     "expm_qubit_closed_form",
+    "branch_generator",
     "logm_unitary",
     "unitary_eigenphases",
     "require_unitary",
@@ -199,6 +200,19 @@ def unitary_eigenphases(u):
     return lam[order], q
 
 
+def branch_generator(lam, q, offsets):
+    """Generator q diag(lam + 2 pi offsets) q^dagger of q diag(e^{-i lam}) q^dagger.
+
+    offsets holds one integer number of turns per eigenphase; DimensionError otherwise.
+    """
+    offsets = np.asarray(offsets, dtype=int)
+    if offsets.shape != lam.shape:
+        raise DimensionError(
+            f"branch offsets must have length {lam.size}, got shape {offsets.shape}"
+        )
+    return HermitianOperator((q * (lam + 2.0 * np.pi * offsets)) @ q.conj().T)
+
+
 def logm_unitary(u, branch_offsets=None):
     """Hermitian X with u = e^{-i X}, on an explicitly chosen branch.
 
@@ -208,18 +222,9 @@ def logm_unitary(u, branch_offsets=None):
     within UNITARY_TOL; a larger residual raises NotUnitaryError.
     """
     lam, q = unitary_eigenphases(u)
-    n = lam.size
     if branch_offsets is None:
-        offsets = np.zeros(n, dtype=int)
-    else:
-        offsets = np.asarray(branch_offsets, dtype=int)
-        if offsets.shape != (n,):
-            raise DimensionError(
-                f"branch offsets must have length {n}, got shape {offsets.shape}"
-            )
-    lam = lam + 2.0 * np.pi * offsets
-    x = (q * lam) @ q.conj().T
-    op = HermitianOperator(x)
+        branch_offsets = np.zeros(lam.size, dtype=int)
+    op = branch_generator(lam, q, branch_offsets)
     back = expm_unitary(op, 1.0)
     resid = float(np.max(np.abs(back - np.asarray(u, dtype=complex))))
     if resid > UNITARY_TOL:

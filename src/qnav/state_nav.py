@@ -11,6 +11,7 @@ optimal total and control Hamiltonians back in lab coordinates.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ __all__ = [
     "DEFAULT_PHI_TOL",
     "NavigationTask",
     "CanonicalStateTask",
-    "SweepRecord",
+    "VoyageCurve",
     "NavigationSolution",
     "canonicalize",
     "omega_of_phi",
@@ -97,15 +98,13 @@ class CanonicalStateTask:
     h0_trace_half: float
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of the voyage-time curve tau(phi)."""
+class VoyageCurve(NamedTuple):
+    """tau = alpha/omega at phi: floats for a scalar phi, else arrays of its shape."""
 
-    phi: float
-    omega: float
-    rho: float
-    alpha: float
-    tau: float
+    phi: float | np.ndarray
+    omega: float | np.ndarray
+    alpha: float | np.ndarray
+    tau: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,46 +238,32 @@ def _omega_residual(wind, phi, omega):
 
 
 def tau_of_phi(ctask, phi):
-    """Voyage-time record at a single control angle."""
-    phi = float(phi)
-    omega = float(omega_of_phi(ctask.wind, phi))
-    rho = float(rho_of_phi(ctask.theta, phi))
-    alpha = float(alpha_of_phi(ctask.theta, phi))
-    tau = alpha / omega
-    resid = abs(_omega_residual(ctask.wind, phi, omega))
-    if resid > CONSTRAINT_RESIDUAL_TOL:
-        raise ArithmeticError(f"constraint residual {resid:.3e} at phi={phi!r}")
-    return SweepRecord(phi=phi, omega=omega, rho=rho, alpha=alpha, tau=tau)
+    """Voyage-time curve at a scalar or an array of control angles.
 
-
-def _voyage_curve(ctask, phis):
-    """Vectorized (omega, alpha, tau) along an array of angles."""
-    omega = np.asarray(omega_of_phi(ctask.wind, phis), dtype=float)
-    alpha = np.asarray(alpha_of_phi(ctask.theta, phis), dtype=float)
-    resid = np.max(np.abs(_omega_residual(ctask.wind, phis, omega)))
+    Returns VoyageCurve(phi, omega, alpha, tau) from omega_of_phi and the
+    orientation-checked alpha_of_phi, and raises ArithmeticError when the
+    full-throttle residual exceeds CONSTRAINT_RESIDUAL_TOL. An array gives,
+    element for element, the floats of one call per angle. rho is left to
+    rho_of_phi.
+    """
+    scalar = np.ndim(phi) == 0
+    phi = float(phi) if scalar else np.asarray(phi, dtype=float)
+    omega = omega_of_phi(ctask.wind, phi)
+    alpha = alpha_of_phi(ctask.theta, phi)
+    resid = np.max(np.abs(_omega_residual(ctask.wind, phi, omega)))
     if resid > CONSTRAINT_RESIDUAL_TOL:
-        raise ArithmeticError(f"constraint residual {resid:.3e} on sweep grid")
-    return omega, alpha, alpha / omega
+        raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
+    if scalar:
+        omega = float(omega)
+    return VoyageCurve(phi=phi, omega=omega, alpha=alpha, tau=alpha / omega)
 
 
 def sweep(task, n_points=DEFAULT_GRID_POINTS):
-    """Voyage-time records on the uniform grid phi_k = 2 pi k / n_points."""
+    """tau_of_phi's VoyageCurve of arrays on the grid phi_k = 2 pi k / n_points."""
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     ctask = canonicalize(task)
-    phis = 2.0 * np.pi * np.arange(n_points) / n_points
-    omega, alpha, tau = _voyage_curve(ctask, phis)
-    rho = rho_of_phi(ctask.theta, phis)
-    return [
-        SweepRecord(
-            phi=float(phis[k]),
-            omega=float(omega[k]),
-            rho=float(rho[k]),
-            alpha=float(alpha[k]),
-            tau=float(tau[k]),
-        )
-        for k in range(n_points)
-    ]
+    return tau_of_phi(ctask, 2.0 * np.pi * np.arange(n_points) / n_points)
 
 
 def principal_voyage_time(ctask, phis):
@@ -390,7 +375,7 @@ def optimize(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
         return _assemble(task, ctask, np.pi / 2.0)
 
     phis = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    _, _, tau = _voyage_curve(ctask, phis)
+    tau = tau_of_phi(ctask, phis).tau
 
     candidates = []
     for lo, hi in ((0.0, np.pi), (np.pi, 2.0 * np.pi)):
@@ -398,8 +383,7 @@ def optimize(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
         if refined is not None:
             candidates.append(refined)
     for boundary in (0.0, np.pi):
-        rec = tau_of_phi(ctask, boundary)
-        candidates.append((boundary, rec.tau))
+        candidates.append((boundary, tau_of_phi(ctask, boundary).tau))
 
     tau_best = min(c[1] for c in candidates)
     phi_star = min(c[0] for c in candidates if c[1] == tau_best)

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import DEGENERATE_THETA_TOL
-from .errors import DegenerateTaskError, NotInvariantError
+from .bloch import distinct_separation
+from .errors import NotInvariantError
 from .linalg import HermitianOperator, StateVector
 from .oracle import require_passed, solution_checks
 from .state_nav import (
@@ -60,16 +60,9 @@ def detect_and_reduce(task):
     block. Residuals above INVARIANCE_TOL mean the problem genuinely
     needs a higher-dimensional search, which is out of scope.
     """
-    psi_i = task.psi_initial.amplitudes
-    psi_f = task.psi_final.amplitudes
-    overlap = np.vdot(psi_i, psi_f)
-    theta = 2.0 * float(np.arccos(np.clip(abs(overlap), 0.0, 1.0)))
-    if theta < DEGENERATE_THETA_TOL:
-        raise DegenerateTaskError(
-            f"states coincide (separation {theta:.3e}); tau = 0, no control needed"
-        )
-    e1 = psi_i
-    rem = psi_f - overlap * e1
+    overlap, _ = distinct_separation(task.psi_initial, task.psi_final)
+    e1 = task.psi_initial.amplitudes
+    rem = task.psi_final.amplitudes - overlap * e1
     e2 = rem / np.linalg.norm(rem)
     basis = np.column_stack([e1, e2])
 

@@ -48,9 +48,9 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}" if detail else name
 
 
-def _lab_hamiltonian(ctask, rec):
-    axis_lab = ctask.frame.to_lab(np.array([np.cos(rec.phi), np.sin(rec.phi), 0.0]))
-    return pauli_compose(ctask.h0_trace_half, 0.5 * rec.omega * axis_lab)
+def _lab_hamiltonian(ctask, phi, omega):
+    axis_lab = ctask.frame.to_lab(np.array([np.cos(phi), np.sin(phi), 0.0]))
+    return pauli_compose(ctask.h0_trace_half, 0.5 * omega * axis_lab)
 
 
 def test_benchmark_optimum_and_runtime():
@@ -68,8 +68,7 @@ def test_benchmark_optimum_and_runtime():
 
 def _kink_signature(task, n=4096):
     """(slope sign change across pi, second-difference ratio at pi)."""
-    records = sweep(task, n)
-    tau = np.array([rec.tau for rec in records])
+    tau = sweep(task, n).tau
     i = n // 2  # phi_k = 2 pi k / n puts k = n/2 exactly at pi
     s_left = tau[i] - tau[i - 1]
     s_right = tau[i + 1] - tau[i]
@@ -117,7 +116,9 @@ def test_oracle_equivalence():
         ctask = canonicalize(task)
         for phi in rng.uniform(0.0, 2.0 * np.pi, size=8):
             rec = tau_of_phi(ctask, float(phi))
-            res = first_passage(_lab_hamiltonian(ctask, rec), task.psi_initial, task.psi_final)
+            res = first_passage(
+                _lab_hamiltonian(ctask, rec.phi, rec.omega), task.psi_initial, task.psi_final
+            )
             gap = abs(res.t_first - rec.tau) if res.reached else np.inf
             worst = max(worst, gap)
     elapsed = time.perf_counter() - start
@@ -137,8 +138,9 @@ def test_constraint_suite():
         ctask = canonicalize(task)
         sol = optimize(task)
         checks = [(sol.h_total, sol.tau_star)]
-        for rec in sweep(task, 4096):
-            checks.append((_lab_hamiltonian(ctask, rec), rec.tau))
+        curve = sweep(task, 4096)
+        for phi, omega, tau in zip(curve.phi, curve.omega, curve.tau):
+            checks.append((_lab_hamiltonian(ctask, phi, omega), tau))
         psi_i = task.psi_initial.amplitudes
         psi_f = task.psi_final.amplitudes
         for h_total, tau in checks:
@@ -286,7 +288,7 @@ def test_grid_optimality():
             random_unit_axis(rng),
         )
         sol = optimize(task)
-        best_grid = min(rec.tau for rec in sweep(task, 10_000))
+        best_grid = np.min(sweep(task, 10_000).tau)
         worst = max(worst, sol.tau_star - best_grid)
     _report(
         "grid-optimality",

@@ -9,7 +9,8 @@ import pytest
 
 import qnav
 from qnav.cli import main
-from qnav.taskio import complex_pairs, matrix_pairs
+from qnav.state_nav import canonicalize, rho_of_phi, sweep
+from qnav.taskio import complex_pairs, load_task, matrix_pairs
 
 from conftest import benchmark_axis, symmetric_pair
 
@@ -127,9 +128,15 @@ def test_sweep_csv_contract(tmp_path, capsys):
     lines = raw.decode("ascii").splitlines()
     assert lines[0] == "phi,omega,rho,alpha,tau"
     assert len(lines) == 17
-    for line in lines[1:]:
+    # each field is the library's value formatted with .16e, rho included
+    nav_task = load_task(task).task
+    curve = sweep(nav_task, 16)
+    rho = rho_of_phi(canonicalize(nav_task).theta, curve.phi)
+    expected = np.column_stack([curve.phi, curve.omega, rho, curve.alpha, curve.tau])
+    for line, row in zip(lines[1:], expected):
         fields = line.split(",")
         assert len(fields) == 5
+        assert fields == [format(v, ".16e") for v in row]
         values = [float(x) for x in fields]
         assert abs(values[1] * values[4] - values[3]) <= 1e-9
     assert main(["sweep", task, "--points", "16", "--out", str(tmp_path / "again.csv")]) == 0

@@ -127,23 +127,45 @@ def test_tau_no_wind_geodesic():
     assert rec.tau == pytest.approx(theta / np.sqrt(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_tau_of_phi_scalar_and_array_forms(eps):
+    """Floats for one angle, arrays of phi's shape for an array of angles."""
+    ctask = canonicalize(make_task(1.1, eps, [0.3, 0.4, np.sqrt(0.75)]))
+    single = tau_of_phi(ctask, np.float64(0.7))
+    assert all(type(field) is float for field in single)
+    phis = np.linspace(0.0, 2.0 * np.pi, 12).reshape(3, 4)
+    curve = tau_of_phi(ctask, phis)
+    assert all(isinstance(field, np.ndarray) and field.shape == (3, 4) for field in curve)
+    assert np.array_equal(curve.phi, phis)
+    assert np.array_equal(curve.tau, curve.alpha / curve.omega)
+
+
+def test_optimize_computes_no_rho(monkeypatch):
+    def refuse(theta, phi):
+        raise AssertionError("rho_of_phi called")
+
+    monkeypatch.setattr(state_nav, "rho_of_phi", refuse)
+    assert optimize(benchmark_task()).tau_star > 0.0
+
+
 @given(eps=eps_st, theta=theta_st, seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_sweep_records_satisfy_invariants(eps, theta, seed):
     axis = random_unit_axis(np.random.default_rng(seed))
     task = make_task(theta, eps, axis)
-    for rec in sweep(task, 64):
-        assert abs(rec.omega * rec.tau - rec.alpha) <= 1e-10
-        assert rec.omega > 0.0
-        assert 0.0 < rec.alpha <= 2.0 * np.pi
-        assert 0.0 <= rec.rho <= np.pi
+    curve = sweep(task, 64)
+    rho = rho_of_phi(canonicalize(task).theta, curve.phi)
+    assert np.all(np.abs(curve.omega * curve.tau - curve.alpha) <= 1e-10)
+    assert np.all(curve.omega > 0.0)
+    assert np.all((0.0 < curve.alpha) & (curve.alpha <= 2.0 * np.pi))
+    assert np.all((0.0 <= rho) & (rho <= np.pi))
 
 
 def test_sweep_grid_placement():
     task = benchmark_task()
-    records = sweep(task, 16)
-    assert len(records) == 16
-    phis = [rec.phi for rec in records]
+    curve = sweep(task, 16)
+    assert all(field.shape == (16,) for field in curve)
+    phis = curve.phi.tolist()
     assert phis == sorted(phis)
     assert phis[0] == 0.0
     assert phis[1] == pytest.approx(2.0 * np.pi / 16.0)
@@ -155,18 +177,15 @@ def test_sweep_rejects_small_grids():
 
 
 def test_sweep_benchmark_argmin_location():
-    records = sweep(benchmark_task(), 4096)
-    taus = np.array([rec.tau for rec in records])
-    phi_min = records[int(np.argmin(taus))].phi
+    curve = sweep(benchmark_task(), 4096)
+    phi_min = curve.phi[np.argmin(curve.tau)]
     assert 0.43 * np.pi <= phi_min <= 0.45 * np.pi
 
 
 def test_sweep_z_wind_argmin_at_geodesic_angle():
-    records = sweep(make_task(1.3, 0.5, [0.0, 0.0, 1.0]), 4096)
-    taus = np.array([rec.tau for rec in records])
-    omegas = np.array([rec.omega for rec in records])
-    assert np.ptp(omegas) <= 1e-12
-    phi_min = records[int(np.argmin(taus))].phi
+    curve = sweep(make_task(1.3, 0.5, [0.0, 0.0, 1.0]), 4096)
+    assert np.ptp(curve.omega) <= 1e-12
+    phi_min = curve.phi[np.argmin(curve.tau)]
     assert phi_min == pytest.approx(np.pi / 2.0, abs=2.0 * np.pi / 4096)
 
 
@@ -288,7 +307,7 @@ def test_optimize_grid_optimality_spot_checks(rng):
             rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.05, 0.95), random_unit_axis(rng)
         )
         sol = optimize(task)
-        best_grid = min(rec.tau for rec in sweep(task, 10_000))
+        best_grid = np.min(sweep(task, 10_000).tau)
         assert sol.tau_star <= best_grid + 1e-9
 
 
@@ -338,7 +357,9 @@ def test_mirror_y_alone_is_not_a_first_passage_symmetry():
 
 def test_refine_objective_matches_public_formulas_bitwise(rng):
     """The hoisted scalar objective is alpha_of_phi / omega_of_phi to the last bit,
-    in both halves and within 1e-6 of the joins at 0 and pi."""
+    in both halves and within 1e-6 of the joins at 0 and pi, and so is
+    tau_of_phi, for one angle and for the whole array at once: optimize
+    compares grid, refined and boundary taus."""
     thetas = list(rng.uniform(0.05, np.pi - 0.05, size=30)) + [0.05, np.pi - 0.05, np.pi]
     for theta in thetas:
         ctask = canonical_ctask(theta, rng.uniform(0.01, 0.99), random_unit_axis(rng))
@@ -356,9 +377,13 @@ def test_refine_objective_matches_public_formulas_bitwise(rng):
         )
         seen = []
         objective = _refine_objective(ctask, seen)
-        for phi in map(float, phis):
+        curve = tau_of_phi(ctask, phis)
+        for k, phi in enumerate(map(float, phis)):
             expected = float(alpha_of_phi(ctask.theta, phi)) / float(omega_of_phi(ctask.wind, phi))
             assert objective(phi) == expected, (theta, phi)
+            single = tau_of_phi(ctask, phi)
+            assert single.tau == expected, (theta, phi)
+            assert (curve.omega[k], curve.alpha[k], curve.tau[k]) == single[1:], (theta, phi)
         assert seen == [float(p) for p in phis]
 
 
