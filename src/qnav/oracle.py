@@ -75,16 +75,33 @@ def _amplitude_table(h, psi_i, psi_f):
     return w, np.conj(c_f) * c_i
 
 
-def fidelity_curve(h, psi_i, psi_f, t_max=None, dt=None):
-    """Sampled transfer fidelity on the grid t = 0, dt, ..., t_max."""
+def _curve(h, psi_i, psi_f, t_max, dt):
+    """Grid t, sampled fidelity f and the (w, table) of one decomposition of h.
+
+    The amplitude is summed eigencomponent by eigencomponent, each term an
+    elementwise product of arrays of len(t), so no BLAS matrix-vector call
+    (and none of its worker threads) is involved.
+    """
     t_max, dt = _default_steps(h, t_max, dt)
     if not dt > 0.0 or not t_max > 0.0:
         raise ValueError("t_max and dt must be positive")
     n = int(math.floor(t_max / dt)) + 1
     t = dt * np.arange(n)
     w, table = _amplitude_table(h, psi_i, psi_f)
-    amp = np.exp(-1j * np.outer(t, w)) @ table
-    return t, np.abs(amp) ** 2
+    amp = table[0] * np.exp(-1j * (t * w[0]))
+    for wk, ck in zip(w[1:], table[1:]):
+        amp += ck * np.exp(-1j * (t * wk))
+    return t, np.abs(amp) ** 2, w, table
+
+
+def fidelity_curve(h, psi_i, psi_f, t_max=None, dt=None):
+    """Sampled transfer fidelity on the grid t = 0, dt, ..., t_max.
+
+    One eigendecomposition of h; the samples are sums of elementwise
+    products over its eigencomponents, with no BLAS call.
+    """
+    t, f, _, _ = _curve(h, psi_i, psi_f, t_max, dt)
+    return t, f
 
 
 def _refine_peak(w, table, lo, hi):
@@ -108,7 +125,7 @@ def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
     tighter threshold. The refined peak time is reported because the
     analytic voyage time is the tangency point of the lobe.
     """
-    t, f = fidelity_curve(h, psi_i, psi_f, t_max, dt)
+    t, f, w, table = _curve(h, psi_i, psi_f, t_max, dt)
     n = t.size
     if n == 1:
         reached = f[0] >= CONFIRM_THRESHOLD
@@ -117,7 +134,6 @@ def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
             peak_fidelity=float(f[0]),
             reached=bool(reached),
         )
-    w, table = _amplitude_table(h, psi_i, psi_f)
     best_peak = -1.0
     best_time = math.inf
     i = 0

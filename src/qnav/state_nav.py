@@ -139,6 +139,17 @@ def canonicalize(task):
     )
 
 
+def _omega(wind, c, s):
+    """omega_of_phi from c = cos(phi) and s = sin(phi)."""
+    if wind.is_zero:
+        return np.full(np.shape(c), np.sqrt(2.0)) if np.ndim(c) else np.sqrt(2.0)
+    eps = wind.epsilon
+    x, y, _ = wind.axis
+    p = x * c + y * s
+    root = np.sqrt(2.0 * eps * p * p + 2.0 * (1.0 - eps))
+    return root + np.sqrt(2.0 * eps) * p
+
+
 def omega_of_phi(wind, phi):
     """Admissible angular frequency at control angle phi.
 
@@ -148,13 +159,7 @@ def omega_of_phi(wind, phi):
     one root is positive. Accepts scalar or array phi.
     """
     phi = np.asarray(phi, dtype=float)
-    if wind.is_zero:
-        return np.broadcast_to(np.sqrt(2.0), phi.shape).copy() if phi.ndim else np.sqrt(2.0)
-    eps = wind.epsilon
-    x, y, _ = wind.axis
-    p = x * np.cos(phi) + y * np.sin(phi)
-    root = np.sqrt(2.0 * eps * p * p + 2.0 * (1.0 - eps))
-    return root + np.sqrt(2.0 * eps) * p
+    return _omega(wind, np.cos(phi), np.sin(phi))
 
 
 def rho_of_phi(theta, phi):
@@ -169,21 +174,26 @@ def alpha_geometric(theta, phi):
     Rotates the initial Bloch vector about the equatorial axis at angle
     phi and reads off the signed angle to the target around that axis,
     folded into (0, 2*pi]. Used as an independent cross-check of the
-    trigonometric branch rule.
+    trigonometric branch rule, so it takes its own cos and sin of phi.
+    The vectors are written out component by component: the axis
+    (cos phi, sin phi, 0), its point nearest b_i, the offsets u_i and
+    u_f of both Bloch vectors from it, and the triple and dot products
+    that give the signed angle.
     """
     phi = np.asarray(phi, dtype=float)
     half = theta / 2.0
-    b_i = 0.5 * np.array([np.cos(half), 0.0, np.sin(half)])
-    b_f = 0.5 * np.array([np.cos(half), 0.0, -np.sin(half)])
-    axis = np.stack(
-        [np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1
-    )
-    center = (axis @ b_i)[..., None] * axis
-    u_i = b_i - center
-    u_f = b_f - center
-    cross = np.cross(u_i, u_f)
-    sin_part = np.einsum("...k,...k->...", cross, axis)
-    cos_part = np.einsum("...k,...k->...", u_i, u_f)
+    # b_i = (bx, 0, bz) and b_f = (bx, 0, -bz)
+    bx = 0.5 * np.cos(half)
+    bz = 0.5 * np.sin(half)
+    ax, ay = np.cos(phi), np.sin(phi)
+    # centre = (axis . b_i) axis; u_i and u_f share their x and y parts
+    d = ax * bx
+    ux = bx - d * ax
+    uy = -(d * ay)
+    # (u_i x u_f) . axis, with u_i x u_f = (-2 bz uy, 2 bz ux, 0)
+    sin_part = (-2.0 * bz * uy) * ax + (2.0 * bz * ux) * ay
+    # u_i . u_f
+    cos_part = ux * ux + uy * uy - bz * bz
     ang = np.arctan2(sin_part, cos_part)
     ang = np.where(ang <= 0.0, ang + 2.0 * np.pi, ang)
     return ang if ang.ndim else float(ang)
@@ -196,20 +206,11 @@ def _principal_angle(theta, s):
     return np.arccos(np.clip(g, -1.0, 1.0))
 
 
-def alpha_of_phi(theta, phi):
-    """First-passage rotation angle about the equatorial axis at phi.
-
-    The arccos expression gives the angle in [0, pi]; the rotation
-    reaches the target forward for sin phi > 0 and backward otherwise,
-    so the first positive angle is its 2*pi complement for sin phi < 0
-    and exactly pi on the boundary. Checked against alpha_geometric.
-    """
-    phi = np.asarray(phi, dtype=float)
+def _alpha(theta, phi, s):
+    """alpha_of_phi for phi (a float64 array, maybe 0-d) and s = sin(phi)."""
     if theta >= np.pi - DEGENERATE_THETA_TOL:
         # antipodal states: every equatorial rotation needs a half turn
-        out = np.full(phi.shape, np.pi)
-        return out if phi.ndim else float(np.pi)
-    s = np.sin(phi)
+        return np.full(phi.shape, np.pi)
     base = _principal_angle(theta, s)
     alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
 
@@ -221,15 +222,28 @@ def alpha_of_phi(theta, phi):
             raise ArithmeticError(
                 f"orientation branch disagrees with vector geometry by {err:.3e}"
             )
+    return alpha
+
+
+def alpha_of_phi(theta, phi):
+    """First-passage rotation angle about the equatorial axis at phi.
+
+    The arccos expression gives the angle in [0, pi]; the rotation
+    reaches the target forward for sin phi > 0 and backward otherwise,
+    so the first positive angle is its 2*pi complement for sin phi < 0
+    and exactly pi on the boundary. Checked against alpha_geometric.
+    """
+    phi = np.asarray(phi, dtype=float)
+    alpha = _alpha(theta, phi, np.sin(phi))
     return alpha if alpha.ndim else float(alpha)
 
 
-def _omega_residual(wind, phi, omega):
-    """Residual of the full-throttle quadratic at (phi, omega)."""
+def _omega_residual(wind, c, s, omega):
+    """Residual of the full-throttle quadratic at omega, for c = cos(phi), s = sin(phi)."""
     if wind.is_zero:
         return omega * omega - 2.0
     x, y, _ = wind.axis
-    p = x * np.cos(phi) + y * np.sin(phi)
+    p = x * c + y * s
     return (
         omega * omega
         - 2.0 * np.sqrt(2.0 * wind.epsilon) * p * omega
@@ -240,21 +254,24 @@ def _omega_residual(wind, phi, omega):
 def tau_of_phi(ctask, phi):
     """Voyage-time curve at a scalar or an array of control angles.
 
-    Returns VoyageCurve(phi, omega, alpha, tau) from omega_of_phi and the
-    orientation-checked alpha_of_phi, and raises ArithmeticError when the
-    full-throttle residual exceeds CONSTRAINT_RESIDUAL_TOL. An array gives,
-    element for element, the floats of one call per angle. rho is left to
-    rho_of_phi.
+    Returns VoyageCurve(phi, omega, alpha, tau) and raises ArithmeticError
+    when the full-throttle residual exceeds CONSTRAINT_RESIDUAL_TOL or the
+    orientation check of alpha_of_phi fails. cos(phi) and sin(phi) are
+    taken once and fed to the formulas behind omega_of_phi, alpha_of_phi
+    and the residual, so omega and alpha equal those public functions bit
+    for bit. An array gives, element for element, the floats of one call
+    per angle. rho is left to rho_of_phi.
     """
     scalar = np.ndim(phi) == 0
-    phi = float(phi) if scalar else np.asarray(phi, dtype=float)
-    omega = omega_of_phi(ctask.wind, phi)
-    alpha = alpha_of_phi(ctask.theta, phi)
-    resid = np.max(np.abs(_omega_residual(ctask.wind, phi, omega)))
+    phi = np.asarray(phi, dtype=float)
+    c, s = np.cos(phi), np.sin(phi)
+    omega = _omega(ctask.wind, c, s)
+    alpha = _alpha(ctask.theta, phi, s)
+    resid = np.max(np.abs(_omega_residual(ctask.wind, c, s, omega)))
     if resid > CONSTRAINT_RESIDUAL_TOL:
         raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
     if scalar:
-        omega = float(omega)
+        phi, omega, alpha = float(phi), float(omega), float(alpha)
     return VoyageCurve(phi=phi, omega=omega, alpha=alpha, tau=alpha / omega)
 
 

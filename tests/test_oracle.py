@@ -23,7 +23,7 @@ from qnav import (
 from qnav.linalg import SIGMA_Y
 from qnav.state_nav import canonicalize
 
-from conftest import benchmark_task, haar_unitary, make_task, random_unit_axis, wind_from_axis
+from conftest import benchmark_task, haar_state, haar_unitary, make_task, random_unit_axis, wind_from_axis
 
 
 def assembled_hamiltonian(ctask, rec):
@@ -138,6 +138,36 @@ def test_zero_generator_defaults():
     assert np.allclose(f, 1.0)
     res = first_passage(h, StateVector([1.0, 0.0]), StateVector([0.0, 1.0]))
     assert not res.reached
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fidelity_curve_is_the_matrix_vector_formulation(rng, n):
+    """Summing eigencomponents elementwise gives |exp(-i t w) @ table|^2 to 1e-15."""
+    for _ in range(5):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = HermitianOperator(0.5 * (z + z.conj().T))
+        psi_i, psi_f = haar_state(rng, n), haar_state(rng, n)
+        t, f = fidelity_curve(h, psi_i, psi_f)
+        w, v = np.linalg.eigh(h.matrix)
+        table = np.conj(v.conj().T @ psi_f.amplitudes) * (v.conj().T @ psi_i.amplitudes)
+        expected = np.abs(np.exp(-1j * np.outer(t, w)) @ table) ** 2
+        assert t.size > 1000
+        assert np.max(np.abs(f - expected)) <= 1e-15
+
+
+def test_first_passage_decomposes_once(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(1)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    h = HermitianOperator(SIGMA_Y / np.sqrt(2.0))
+    res = first_passage(h, StateVector([1.0, 0.0]), StateVector([np.cos(0.4), np.sin(0.4)]))
+    assert res.reached
+    assert len(calls) == 1
 
 
 def test_gate_mismatch_round_trip(rng):

@@ -111,6 +111,67 @@ def test_alpha_orientation_consistency(rng):
         assert np.max(np.abs(err[mask])) <= 1e-10
 
 
+def stacked_alpha_geometric(theta, phi):
+    """alpha_geometric as once written, on stacked 3-vectors with np.cross and einsum."""
+    phi = np.asarray(phi, dtype=float)
+    half = theta / 2.0
+    b_i = 0.5 * np.array([np.cos(half), 0.0, np.sin(half)])
+    b_f = 0.5 * np.array([np.cos(half), 0.0, -np.sin(half)])
+    axis = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
+    center = (axis @ b_i)[..., None] * axis
+    u_i = b_i - center
+    u_f = b_f - center
+    sin_part = np.einsum("...k,...k->...", np.cross(u_i, u_f), axis)
+    cos_part = np.einsum("...k,...k->...", u_i, u_f)
+    ang = np.arctan2(sin_part, cos_part)
+    return np.where(ang <= 0.0, ang + 2.0 * np.pi, ang)
+
+
+def test_alpha_geometric_components_match_stacked_vectors(rng):
+    """The component-wise geometry is the stacked construction to within 4 ulp,
+    across theta in (1e-8, pi - 1e-8) and inside both defect bands."""
+    phi = np.concatenate(
+        [rng.uniform(0.0, 2.0 * np.pi, size=100_000), [0.0, np.pi / 2.0, np.pi, 1.5 * np.pi]]
+    )
+    thetas = np.concatenate(
+        [
+            [1e-8, np.pi - 1e-8],
+            rng.uniform(1e-8, np.pi - 1e-8, size=6),
+            np.exp(rng.uniform(np.log(1e-8), np.log(2e-3), size=3)),
+            np.pi - np.exp(rng.uniform(np.log(1e-6), np.log(0.08), size=3)),
+        ]
+    )
+    for theta in thetas:
+        new = alpha_geometric(theta, phi)
+        old = stacked_alpha_geometric(theta, phi)
+        ulps = np.abs(new - old) / np.spacing(old)
+        assert np.max(ulps) <= 4.0, theta
+
+
+def test_alpha_geometric_scalar_is_float():
+    assert type(alpha_geometric(1.1, 0.7)) is float
+    assert type(alpha_geometric(1.1, np.float64(4.0))) is float
+    assert alpha_geometric(1.1, 0.7) == alpha_geometric(1.1, np.array([0.7]))[0]
+
+
+def test_scan_cross_checks_every_grid_angle(monkeypatch):
+    """Perturb the geometry at one grid angle of the losing half: only the
+    orientation check of the grid scan sees it, and it raises."""
+    task = benchmark_task()
+    grid = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS) / DEFAULT_GRID_POINTS
+    target = grid[3 * DEFAULT_GRID_POINTS // 4]
+    real = state_nav.alpha_geometric
+
+    def geo(theta, phi):
+        phi = np.asarray(phi, dtype=float)
+        out = np.asarray(real(theta, phi)) + np.where(phi == target, 1e-6, 0.0)
+        return out if out.ndim else float(out)
+
+    monkeypatch.setattr(state_nav, "alpha_geometric", geo)
+    with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
+        optimize(task)
+
+
 def test_tau_z_wind_closed_form():
     theta, eps = 1.1, 0.4
     ctask = canonical_ctask(theta, eps, [0.0, 0.0, 1.0])
@@ -138,6 +199,9 @@ def test_tau_of_phi_scalar_and_array_forms(eps):
     assert all(isinstance(field, np.ndarray) and field.shape == (3, 4) for field in curve)
     assert np.array_equal(curve.phi, phis)
     assert np.array_equal(curve.tau, curve.alpha / curve.omega)
+    # one trig pass, yet the public formulas to the last bit
+    assert np.array_equal(curve.omega, omega_of_phi(ctask.wind, phis))
+    assert np.array_equal(curve.alpha, alpha_of_phi(ctask.theta, phis))
 
 
 def test_optimize_computes_no_rho(monkeypatch):
@@ -378,6 +442,8 @@ def test_refine_objective_matches_public_formulas_bitwise(rng):
         seen = []
         objective = _refine_objective(ctask, seen)
         curve = tau_of_phi(ctask, phis)
+        assert np.array_equal(curve.omega, omega_of_phi(ctask.wind, phis)), theta
+        assert np.array_equal(curve.alpha, alpha_of_phi(ctask.theta, phis)), theta
         for k, phi in enumerate(map(float, phis)):
             expected = float(alpha_of_phi(ctask.theta, phi)) / float(omega_of_phi(ctask.wind, phi))
             assert objective(phi) == expected, (theta, phi)
