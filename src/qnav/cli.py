@@ -28,7 +28,7 @@ from .errors import (
     TaskFileError,
     WindTooStrongError,
 )
-from .gate_nav import _min_branch, _survey_rows, solve_gate
+from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
 from .linalg import HermitianOperator, spectral_span
 from .oracle import HERMITIAN_TOL, first_passage, solution_checks
 from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, optimize, rho_of_phi, sweep
@@ -161,8 +161,7 @@ def cmd_solve_gate(args):
     if args.max_branch == 0:
         solution = solve_gate(task)
     else:
-        # the branch table comes from the survey the solution was chosen from
-        solution, offs, times = _min_branch(task, args.max_branch)
+        solution = solve_gate_min_branch(task, args.max_branch)
 
     doc = {
         "mode": "gate",
@@ -177,7 +176,7 @@ def cmd_solve_gate(args):
         "constraint_residual": solution.constraint_residual,
     }
     if args.max_branch > 0:
-        table = sorted(_survey_rows(offs, times), key=lambda bt: (bt[1], bt[0]))
+        table = sorted(branch_survey(task, args.max_branch), key=lambda bt: (bt[1], bt[0]))
         doc["branch_table"] = [
             {"branch": list(branch), "voyage_time": t} for branch, t in table
         ]

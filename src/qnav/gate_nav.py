@@ -7,7 +7,6 @@ logarithm branch is never guessed: callers pass explicit eigenphase
 offsets, or enumerate them.
 """
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -175,8 +174,7 @@ def _offset_table(n, max_offset):
 
     Rows come in lexicographic order so that ties in voyage time resolve
     to the lexicographically smallest vector. The box of leading offsets
-    is checked against MAX_BRANCH_CANDIDATES before it is allocated. The
-    table is shared between calls and read-only.
+    is checked against MAX_BRANCH_CANDIDATES before it is allocated.
     """
     # a Python int, so that the box size below cannot wrap around as a
     # fixed-width numpy integer would
@@ -189,18 +187,10 @@ def _offset_table(n, max_offset):
             f"branch box (2*{max_offset}+1)^{n - 1} = {box} exceeds "
             f"MAX_BRANCH_CANDIDATES = {MAX_BRANCH_CANDIDATES}; lower max_offset"
         )
-    return _offset_box(int(n), max_offset)
-
-
-@functools.lru_cache(maxsize=8)
-def _offset_box(n, max_offset):
-    """_offset_table's rows, built once per (n, max_offset) and frozen."""
     head = np.indices((2 * max_offset + 1,) * (n - 1)).reshape(n - 1, -1).T - max_offset
     last = -head.sum(axis=1)
     keep = np.abs(last) <= max_offset
-    table = np.column_stack((head[keep], last[keep]))
-    table.flags.writeable = False
-    return table
+    return np.column_stack((head[keep], last[keep]))
 
 
 def _survey(task, max_offset):
@@ -225,11 +215,6 @@ def _survey(task, max_offset):
     return canonical, offs, _voyage_time(a, b, c)
 
 
-def _survey_rows(offs, times):
-    """(branch, voyage_time) pairs of Python ints and floats, in survey order."""
-    return list(zip(map(tuple, offs.tolist()), times.tolist()))
-
-
 def branch_survey(task, max_offset):
     """Voyage time of every admissible branch, batched over the offset box.
 
@@ -240,25 +225,7 @@ def branch_survey(task, max_offset):
     box beyond MAX_BRANCH_CANDIDATES.
     """
     _, offs, times = _survey(task, max_offset)
-    return _survey_rows(offs, times)
-
-
-def _min_branch(task, max_offset):
-    """solve_gate_min_branch's solution, with the surveyed offsets and times.
-
-    The CLI's branch table reads the same survey, so one eigendecomposition
-    of the gate relation serves both.
-    """
-    (lam, q, su_phase), offs, times = _survey(task, max_offset)
-    if not times.size:
-        raise NoOpGateError(
-            "gate relation is the identity on every admissible branch; "
-            "raise max_offset"
-        )
-    # argmin returns the first minimum, the smallest branch in enumeration order
-    best = offs[np.argmin(times)]
-    solution = _solve_on_branch(task, branch_generator(lam, q, best), best, su_phase)
-    return solution, offs, times
+    return list(zip(map(tuple, offs.tolist()), times.tolist()))
 
 
 def solve_gate_min_branch(task, max_offset):
@@ -269,4 +236,12 @@ def solve_gate_min_branch(task, max_offset):
     eigendecomposition. Ties go to the lexicographically smallest branch
     vector.
     """
-    return _min_branch(task, max_offset)[0]
+    (lam, q, su_phase), offs, times = _survey(task, max_offset)
+    if not times.size:
+        raise NoOpGateError(
+            "gate relation is the identity on every admissible branch; "
+            "raise max_offset"
+        )
+    # argmin returns the first minimum, the smallest branch in enumeration order
+    best = offs[np.argmin(times)]
+    return _solve_on_branch(task, branch_generator(lam, q, best), best, su_phase)

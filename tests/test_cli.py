@@ -182,24 +182,6 @@ def test_solve_gate_branch_table(tmp_path, capsys):
     assert code == 2
 
 
-def test_solve_gate_branch_table_decomposes_once(capsys, monkeypatch):
-    """The solution and its branch table come from one survey."""
-    calls = []
-    original = qnav.gate_nav.unitary_eigenphases
-
-    def counted(u):
-        calls.append(1)
-        return original(u)
-
-    monkeypatch.setattr(qnav.gate_nav, "unitary_eigenphases", counted)
-    task = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "gate.json"
-    code, out = run(capsys, ["solve-gate", str(task), "--max-branch", "2"])
-    assert code == 0
-    assert len(calls) == 1
-    doc = json.loads(out)
-    assert doc["branch"] == doc["branch_table"][0]["branch"]
-
-
 def test_solve_gate_branch_box_too_large(tmp_path, capsys):
     task = write_json(tmp_path / "g.json", gate_doc())
     code = main(["solve-gate", task, "--max-branch", "600000"])

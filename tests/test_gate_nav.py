@@ -22,13 +22,7 @@ from qnav import (
     solve_gate,
     solve_gate_min_branch,
 )
-from qnav.gate_nav import (
-    MAX_BRANCH_CANDIDATES,
-    NOOP_TRACE_TOL,
-    _canonical_phases,
-    _offset_box,
-    _offset_table,
-)
+from qnav.gate_nav import MAX_BRANCH_CANDIDATES, NOOP_TRACE_TOL, _canonical_phases
 from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_trace
 
 from conftest import haar_state, haar_unitary, random_traceless_hermitian, wind_from_axis
@@ -290,21 +284,6 @@ def test_min_branch_decomposes_once(rng, monkeypatch):
     )
     solve_gate_min_branch(task, 2)
     assert len(calls) == 1
-
-
-def test_offset_table_is_built_once_and_frozen():
-    """Repeat surveys share one read-only table per (n, max_offset), equal to a
-    fresh build, in a cache of bounded size."""
-    first = _offset_table(5, 2)
-    assert _offset_table(5, np.int64(2)) is first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0, 0] = 7
-    assert np.array_equal(first, _offset_box.__wrapped__(5, 2))
-    assert _offset_box.cache_info().maxsize <= 16
-    for bad in (-1, 1.5):
-        with pytest.raises((ValueError, TypeError)):
-            _offset_table(3, bad)
 
 
 @pytest.mark.parametrize("n, max_offset", [(8, 50), (11, np.int64(50))])
