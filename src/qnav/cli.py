@@ -31,7 +31,7 @@ from .errors import (
 from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
 from .linalg import HermitianOperator, spectral_span
 from .oracle import HERMITIAN_TOL, first_passage, solution_checks
-from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, optimize, rho_of_phi, sweep
+from .state_nav import DEFAULT_GRID_POINTS, optimize, rho_of_phi, sweep
 from .subspace import detect_and_reduce, solve_embedded
 from .taskio import (
     dumps_result,
@@ -103,20 +103,18 @@ def cmd_solve_state(args):
     loaded = load_task(args.task)
     if loaded.mode == "gate":
         raise TaskFileError("gate tasks go through solve-gate")
-    grid = args.grid if args.grid is not None else (loaded.grid_points or DEFAULT_GRID_POINTS)
-    tol = args.tol if args.tol is not None else (loaded.tol or DEFAULT_PHI_TOL)
     task = loaded.task
 
     doc = {"mode": loaded.mode, "meta": _meta()}
     if loaded.mode == "subspace":
         reduction = detect_and_reduce(task)
-        solution = solve_embedded(task, grid_points=grid, tol=tol)
+        solution = solve_embedded(task)
         doc["subspace"] = {
             "dim": task.psi_initial.dim,
             "invariance_residual": reduction.invariance_residual,
         }
     else:
-        solution = optimize(task, grid_points=grid, tol=tol)
+        solution = optimize(task)
 
     doc.update(
         {
@@ -264,8 +262,6 @@ def build_parser():
 
     p_state = sub.add_parser("solve-state", help="solve a state or subspace task")
     p_state.add_argument("task", help="task file (JSON)")
-    p_state.add_argument("--grid", type=int, default=None, help="scan grid points")
-    p_state.add_argument("--tol", type=float, default=None, help="angle tolerance")
     p_state.add_argument(
         "--oracle",
         action=argparse.BooleanOptionalAction,

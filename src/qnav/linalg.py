@@ -33,7 +33,6 @@ __all__ = [
     "pauli_decompose",
     "hs_trace_product",
     "expm_unitary",
-    "expm_qubit_closed_form",
     "branch_generator",
     "logm_unitary",
     "unitary_eigenphases",
@@ -153,20 +152,6 @@ def expm_unitary(h, t):
         raise ValueError("time must be finite")
     w, v = np.linalg.eigh(h.matrix)
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
-
-
-def expm_qubit_closed_form(h, t):
-    """Closed-form e^{-i h t} for dim 2: phase times cos/sin of the Pauli part."""
-    a0, a = pauli_decompose(h)
-    t = float(t)
-    r = float(np.linalg.norm(a))
-    if r == 0.0:
-        core = np.eye(2, dtype=complex)
-    else:
-        n = a / r
-        ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-        core = np.cos(r * t) * np.eye(2, dtype=complex) - 1j * np.sin(r * t) * ns
-    return np.exp(-1j * a0 * t) * core
 
 
 def require_unitary(u, what="matrix"):

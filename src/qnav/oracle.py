@@ -57,8 +57,11 @@ def _default_steps(h, t_max, dt):
 
     The fastest fidelity oscillation runs at the eigenvalue spread, so
     a fixed small fraction of its period guarantees samples inside any
-    lobe that clears the detection threshold.
+    lobe that clears the detection threshold. The spread is computed only
+    when one of the two is left to it.
     """
+    if t_max is not None and dt is not None:
+        return float(t_max), float(dt)
     span = spectral_span(h)
     if dt is None:
         dt = math.pi * 1e-3 / span if span > 1e-12 else (t_max or 1.0) / 1000.0

@@ -37,6 +37,10 @@ from .oracle import CONFIRM_THRESHOLD as FIDELITY_THRESHOLD, require_passed, sol
 CONSTRAINT_RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_PHI_TOL = 1e-10
+# optimize's scan grid with 2 pi appended; the size is a power of two, so
+# index DEFAULT_GRID_POINTS // 2 holds pi exactly
+_SCAN_PHIS = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS + 1) / DEFAULT_GRID_POINTS
+_SCAN_PHIS.setflags(write=False)
 # below this |sin phi| the two alpha computations are both ~pi but differ
 # in rounding structure, so the cross-check is skipped
 _ORIENTATION_CHECK_MIN_SIN = 1e-6
@@ -329,25 +333,19 @@ def _refine_objective(ctask, seen):
     return tau
 
 
-def _refine_half(ctask, phis, tau, lo, hi, tol):
-    """Golden refinement around the grid minimum strictly inside (lo, hi).
+def _refine_half(ctask, tau, start, stop):
+    """Golden refinement around the grid minimum among scan indices [start, stop).
 
-    Every angle the search evaluates is cross-checked against the vector
-    geometry in one batched alpha_of_phi call after the search.
+    The minimum's two grid neighbours bracket the search; _SCAN_PHIS carries
+    2 pi after the last grid angle, so both exist for every index of either
+    open half. Every angle the search evaluates is cross-checked against the
+    vector geometry in one batched alpha_of_phi call after the search.
     """
-    inside = (phis > lo) & (phis < hi)
-    if not np.any(inside):
-        return None
-    idx = np.flatnonzero(inside)
-    best = idx[np.argmin(tau[idx])]
-    left = phis[best - 1] if best > 0 else lo
-    right = phis[best + 1] if best + 1 < phis.size else hi
-    left = max(float(left), lo)
-    right = min(float(right), hi)
-    if right <= left:
-        return float(phis[best]), float(tau[best])
+    best = start + np.argmin(tau[start:stop])
     seen = []
-    refined = golden_min(_refine_objective(ctask, seen), left, right, tol)
+    refined = golden_min(
+        _refine_objective(ctask, seen), _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL
+    )
     alpha_of_phi(ctask.theta, np.asarray(seen))
     return refined
 
@@ -374,34 +372,29 @@ def _assemble(task, ctask, phi_star):
     )
 
 
-def optimize(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
+def optimize(task):
     """Minimize the voyage time over the control angle.
 
-    Dense grid scan over [0, 2 pi) followed by golden-section
-    refinement. The curve can have a corner where the orientation
-    branch changes, so refinement never brackets across phi in
-    {0, pi}; those angles are evaluated directly as candidates.
+    Scan of the fixed grid phi_k = 2 pi k / DEFAULT_GRID_POINTS, then
+    golden-section refinement to DEFAULT_PHI_TOL around the grid minimum
+    of each open half (0, pi) and (pi, 2 pi). The curve can have a corner
+    where the orientation branch changes, so refinement never brackets
+    across phi in {0, pi}; the grid holds both angles exactly, and their
+    scanned voyage times are the boundary candidates.
     """
-    if grid_points < 64:
-        raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     ctask = canonicalize(task)
     if ctask.wind.is_zero:
         # no wind: full throttle along the geodesic, no scan needed
         return _assemble(task, ctask, np.pi / 2.0)
 
-    phis = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    tau = tau_of_phi(ctask, phis).tau
-
-    candidates = []
-    for lo, hi in ((0.0, np.pi), (np.pi, 2.0 * np.pi)):
-        refined = _refine_half(ctask, phis, tau, lo, hi, tol)
-        if refined is not None:
-            candidates.append(refined)
-    for boundary in (0.0, np.pi):
-        candidates.append((boundary, tau_of_phi(ctask, boundary).tau))
-
+    tau = tau_of_phi(ctask, _SCAN_PHIS[:-1]).tau
+    half = DEFAULT_GRID_POINTS // 2
+    candidates = [
+        _refine_half(ctask, tau, 1, half),
+        _refine_half(ctask, tau, half + 1, DEFAULT_GRID_POINTS),
+        (0.0, tau[0]),
+        (np.pi, tau[half]),
+    ]
     tau_best = min(c[1] for c in candidates)
     phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     return _assemble(task, ctask, phi_star)

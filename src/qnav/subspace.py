@@ -14,12 +14,7 @@ from .bloch import distinct_separation
 from .errors import NotInvariantError
 from .linalg import HermitianOperator, StateVector
 from .oracle import require_passed, solution_checks
-from .state_nav import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_PHI_TOL,
-    NavigationTask,
-    optimize,
-)
+from .state_nav import NavigationTask, optimize
 
 INVARIANCE_TOL = 1e-9
 
@@ -86,7 +81,7 @@ def detect_and_reduce(task):
     )
 
 
-def solve_embedded(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
+def solve_embedded(task):
     """Optimal n-dimensional Hamiltonians via the qubit block solution.
 
     The total Hamiltonian is the embedded block solution plus the
@@ -97,7 +92,7 @@ def solve_embedded(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
     red = detect_and_reduce(task)
     n = task.psi_initial.dim
     if n == 2:
-        return optimize(task, grid_points=grid_points, tol=tol)
+        return optimize(task)
 
     basis = red.basis
     block_h0 = HermitianOperator(
@@ -108,7 +103,7 @@ def solve_embedded(task, grid_points=DEFAULT_GRID_POINTS, tol=DEFAULT_PHI_TOL):
         psi_final=StateVector(basis.conj().T @ task.psi_final.amplitudes),
         h0=block_h0,
     )
-    sol2 = optimize(sub_task, grid_points=grid_points, tol=tol)
+    sol2 = optimize(sub_task)
 
     proj = basis @ basis.conj().T
     comp = np.eye(n) - proj

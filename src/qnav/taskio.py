@@ -15,9 +15,11 @@ from .bloch import WindSpec, wind_operator
 from .errors import DimensionError, NotHermitianError, TaskFileError
 from .gate_nav import GateTask
 from .linalg import HermitianOperator, StateVector
-from .state_nav import NavigationTask
+from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, NavigationTask
 
 MODES = ("state", "gate", "subspace")
+# the optimizer's scan and tolerance are fixed; a task file may still name them
+_FIXED_OPTIMIZER = {"grid_points": DEFAULT_GRID_POINTS, "tol": DEFAULT_PHI_TOL}
 
 __all__ = [
     "LoadedTask",
@@ -32,12 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LoadedTask:
-    """Parsed task plus optimizer and oracle settings from the file."""
+    """Parsed task plus the oracle setting from the file."""
 
     mode: str
     task: object
-    grid_points: int | None
-    tol: float | None
     oracle: bool | None
 
 
@@ -176,17 +176,15 @@ def load_task(path):
     optimizer = doc.get("optimizer", {})
     if not isinstance(optimizer, dict):
         raise TaskFileError("optimizer must be an object")
-    grid_points = optimizer.get("grid_points")
-    tol = optimizer.get("tol")
-    try:
-        grid_points = None if grid_points is None else int(grid_points)
-        tol = None if tol is None else float(tol)
-    except (TypeError, ValueError) as exc:
-        raise TaskFileError(f"optimizer settings: {exc}") from exc
+    for key, value in optimizer.items():
+        if key not in _FIXED_OPTIMIZER:
+            raise TaskFileError(f"optimizer.{key} is not a setting")
+        if value != _FIXED_OPTIMIZER[key]:
+            raise TaskFileError(f"optimizer.{key} is fixed at {_FIXED_OPTIMIZER[key]!r}, got {value!r}")
     oracle = doc.get("oracle")
     if oracle is not None and not isinstance(oracle, bool):
         raise TaskFileError("oracle must be a boolean")
-    return LoadedTask(mode=mode, task=task, grid_points=grid_points, tol=tol, oracle=oracle)
+    return LoadedTask(mode=mode, task=task, oracle=oracle)
 
 
 def dumps_result(doc):

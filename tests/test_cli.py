@@ -110,12 +110,41 @@ def test_oracle_file_setting_and_flag_precedence(tmp_path, capsys):
 
 
 def test_grid_precedence(tmp_path, capsys):
-    task = write_json(tmp_path / "t.json", state_doc(optimizer={"grid_points": 8}))
-    code, _ = run(capsys, ["solve-state", task])
-    assert code == 2
-    code, out = run(capsys, ["solve-state", task, "--grid", "128"])
+    """The scan is fixed: a task file may name the fixed settings, and the
+    CLI has no flag to change them."""
+    plain = write_json(tmp_path / "plain.json", state_doc())
+    fixed = write_json(
+        tmp_path / "fixed.json", state_doc(optimizer={"grid_points": 4096, "tol": 1e-10})
+    )
+    code, out = run(capsys, ["solve-state", fixed])
     assert code == 0
     assert 0.43 * np.pi <= json.loads(out)["phi_star"] <= 0.45 * np.pi
+    assert out == run(capsys, ["solve-state", plain])[1]
+    for flag in (["--grid", "128"], ["--tol", "1e-12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-state", plain, *flag])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid_points", 0),
+        ("tol", 0.0),
+        ("grid_points", 8),
+        ("grid_points", -1),
+        ("grid_points", 8192),
+        ("tol", 1e-12),
+        ("tol", None),
+        ("grid", 4096),
+    ],
+)
+def test_optimizer_block_other_than_fixed_is_rejected(tmp_path, capsys, key, value):
+    task = write_json(tmp_path / "t.json", state_doc(optimizer={key: value}))
+    assert main(["solve-state", task]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: optimizer.{key} is " in captured.err
 
 
 def test_sweep_csv_contract(tmp_path, capsys):

@@ -19,7 +19,6 @@ from qnav.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    expm_qubit_closed_form,
     split_trace,
     unitary_eigenphases,
 )
@@ -112,6 +111,20 @@ def test_expm_inverse_pairs(rng):
         t = rng.uniform(-5.0, 5.0)
         prod = expm_unitary(h, t) @ expm_unitary(h, -t)
         assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
+
+
+def expm_qubit_closed_form(h, t):
+    """Reference e^{-i h t} for dim 2: phase times cos/sin of the Pauli part."""
+    a0, a = pauli_decompose(h)
+    t = float(t)
+    r = float(np.linalg.norm(a))
+    if r == 0.0:
+        core = np.eye(2, dtype=complex)
+    else:
+        n = a / r
+        ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+        core = np.cos(r * t) * np.eye(2, dtype=complex) - 1j * np.sin(r * t) * ns
+    return np.exp(-1j * a0 * t) * core
 
 
 def test_expm_closed_form_matches_eigendecomposition(rng):

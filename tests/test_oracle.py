@@ -20,7 +20,7 @@ from qnav import (
     solve_gate,
     tau_of_phi,
 )
-from qnav.linalg import SIGMA_Y
+from qnav.linalg import SIGMA_Y, spectral_span
 from qnav.state_nav import canonicalize
 
 from conftest import benchmark_task, haar_state, haar_unitary, make_task, random_unit_axis, wind_from_axis
@@ -170,6 +170,23 @@ def test_first_passage_decomposes_once(monkeypatch):
     res = first_passage(h, StateVector([1.0, 0.0]), StateVector([np.cos(0.4), np.sin(0.4)]))
     assert res.reached
     assert len(calls) == 1
+
+
+def test_first_passage_skips_the_span_when_both_steps_are_given(monkeypatch):
+    h = HermitianOperator(SIGMA_Y / np.sqrt(2.0))
+    psi_i, psi_f = StateVector([1.0, 0.0]), StateVector([np.cos(0.4), np.sin(0.4)])
+    # dt as _default_steps derives it from the spectral span
+    defaulted = first_passage(h, psi_i, psi_f, t_max=2.0)
+    dt = np.pi * 1e-3 / spectral_span(h)
+    calls = []
+    real = qnav.oracle.spectral_span
+    monkeypatch.setattr(qnav.oracle, "spectral_span", lambda m: calls.append(1) or real(m))
+    given = first_passage(h, psi_i, psi_f, t_max=2.0, dt=dt)
+    assert calls == []
+    assert given == defaulted
+    assert given.reached
+    first_passage(h, psi_i, psi_f, t_max=2.0)
+    assert calls == [1]
 
 
 def test_gate_mismatch_round_trip(rng):

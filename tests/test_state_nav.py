@@ -478,11 +478,34 @@ def test_optimize_cross_checks_every_refined_angle(monkeypatch):
         optimize(task)
 
 
-def test_optimize_validates_settings():
-    with pytest.raises(ValueError):
-        optimize(benchmark_task(), grid_points=32)
-    with pytest.raises(ValueError):
-        optimize(benchmark_task(), tol=0.0)
+def test_scan_grid_holds_zero_and_pi_exactly(rng):
+    """optimize reads its boundary candidates off the scan, so the fixed
+    grid must hold 0 and pi exactly; a size that misses pi fails here."""
+    n = DEFAULT_GRID_POINTS
+    grid = state_nav._SCAN_PHIS
+    assert grid.size == n + 1
+    assert grid[0] == 0.0
+    assert grid[n // 2] == np.pi
+    assert grid[n] == 2.0 * np.pi
+    tasks = [benchmark_task(), make_task(np.pi - 0.2, 0.7, [0.0, 1.0, 0.0])]
+    tasks += [make_task(rng.uniform(0.1, 3.0), rng.uniform(0.0, 0.9), random_unit_axis(rng)) for _ in range(5)]
+    for task in tasks:
+        ctask = canonicalize(task)
+        curve = tau_of_phi(ctask, grid[:-1])
+        assert np.array_equal(curve.phi, sweep(task).phi)
+        assert curve.tau[0] == tau_of_phi(ctask, 0.0).tau
+        assert curve.tau[n // 2] == tau_of_phi(ctask, np.pi).tau
+
+
+def test_antipodal_optimum_is_the_zero_candidate():
+    """Antipodal states with the canonical wind along +x: tau = pi/omega is
+    least at phi = 0 exactly, which only the boundary candidate reaches."""
+    task = make_task(np.pi, 0.5, [0.0, 1.0, 0.0])
+    ctask = canonicalize(task)
+    np.testing.assert_allclose(ctask.wind.axis, [1.0, 0.0, 0.0], atol=1e-15)
+    sol = optimize(task)
+    assert sol.phi_star == 0.0
+    assert sol.tau_star == tau_of_phi(ctask, 0.0).tau
 
 
 def test_optimize_degenerate_task():
