@@ -4,104 +4,75 @@ Solvers for carrying a qubit state (or realizing a unitary gate) in the
 least time when part of the Hamiltonian is fixed and only the remainder,
 bounded in trace norm, can be chosen. Includes an independent
 brute-force oracle for every solution it produces.
+
+The package is lazy (PEP 562): ``import qnav`` loads no submodule and no
+numpy; each exported name imports its submodule on first access.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bloch import (
-    CanonicalFrame,
-    WindSpec,
-    angular_separation,
-    build_canonical_frame,
-    state_to_bloch,
-    transform_wind,
-    wind_operator,
-)
-from .errors import (
-    DegenerateTaskError,
-    DimensionError,
-    NoOpGateError,
-    NotHermitianError,
-    NotInvariantError,
-    NotUnitaryError,
-    QnavError,
-    TaskFileError,
-    WindTooStrongError,
-)
-from .gate_nav import (
-    GateSolution,
-    GateTask,
-    branch_survey,
-    solve_gate,
-    solve_gate_min_branch,
-)
-from .linalg import (
-    HermitianOperator,
-    StateVector,
-    expm_unitary,
-    hs_trace_product,
-    logm_unitary,
-    pauli_compose,
-    pauli_decompose,
-)
-from .oracle import PassageResult, fidelity_curve, first_passage, gate_mismatch
-from .state_nav import (
-    NavigationSolution,
-    NavigationTask,
-    VoyageCurve,
-    alpha_of_phi,
-    omega_of_phi,
-    optimize,
-    rho_of_phi,
-    sweep,
-    tau_of_phi,
-)
-from .subspace import SubspaceReduction, detect_and_reduce, solve_embedded
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "QnavError": "errors",
+    "DimensionError": "errors",
+    "NotHermitianError": "errors",
+    "NotUnitaryError": "errors",
+    "WindTooStrongError": "errors",
+    "DegenerateTaskError": "errors",
+    "NotInvariantError": "errors",
+    "NoOpGateError": "errors",
+    "TaskFileError": "errors",
+    "HermitianOperator": "linalg",
+    "StateVector": "linalg",
+    "pauli_compose": "linalg",
+    "pauli_decompose": "linalg",
+    "hs_trace_product": "linalg",
+    "expm_unitary": "linalg",
+    "logm_unitary": "linalg",
+    "CanonicalFrame": "bloch",
+    "WindSpec": "bloch",
+    "state_to_bloch": "bloch",
+    "angular_separation": "bloch",
+    "build_canonical_frame": "bloch",
+    "transform_wind": "bloch",
+    "wind_operator": "bloch",
+    "NavigationTask": "state_nav",
+    "NavigationSolution": "state_nav",
+    "VoyageCurve": "state_nav",
+    "omega_of_phi": "state_nav",
+    "rho_of_phi": "state_nav",
+    "alpha_of_phi": "state_nav",
+    "tau_of_phi": "state_nav",
+    "sweep": "state_nav",
+    "optimize": "state_nav",
+    "GateTask": "gate_nav",
+    "GateSolution": "gate_nav",
+    "solve_gate": "gate_nav",
+    "solve_gate_min_branch": "gate_nav",
+    "branch_survey": "gate_nav",
+    "SubspaceReduction": "subspace",
+    "detect_and_reduce": "subspace",
+    "solve_embedded": "subspace",
+    "PassageResult": "oracle",
+    "first_passage": "oracle",
+    "fidelity_curve": "oracle",
+    "gate_mismatch": "oracle",
+}
 
-__all__ = [
-    "__version__",
-    "QnavError",
-    "DimensionError",
-    "NotHermitianError",
-    "NotUnitaryError",
-    "WindTooStrongError",
-    "DegenerateTaskError",
-    "NotInvariantError",
-    "NoOpGateError",
-    "TaskFileError",
-    "HermitianOperator",
-    "StateVector",
-    "pauli_compose",
-    "pauli_decompose",
-    "hs_trace_product",
-    "expm_unitary",
-    "logm_unitary",
-    "CanonicalFrame",
-    "WindSpec",
-    "state_to_bloch",
-    "angular_separation",
-    "build_canonical_frame",
-    "transform_wind",
-    "wind_operator",
-    "NavigationTask",
-    "NavigationSolution",
-    "VoyageCurve",
-    "omega_of_phi",
-    "rho_of_phi",
-    "alpha_of_phi",
-    "tau_of_phi",
-    "sweep",
-    "optimize",
-    "GateTask",
-    "GateSolution",
-    "solve_gate",
-    "solve_gate_min_branch",
-    "branch_survey",
-    "SubspaceReduction",
-    "detect_and_reduce",
-    "solve_embedded",
-    "PassageResult",
-    "first_passage",
-    "fidelity_curve",
-    "gate_mismatch",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -109,9 +109,10 @@ def fidelity_curve(h, psi_i, psi_f, t_max=None, dt=None):
 
 def _refine_peak(w, table, lo, hi):
     """Golden-section maximum of the fidelity on [lo, hi]."""
+    minus_iw = -1j * w
 
     def neg_f(t):
-        amp = np.dot(table, np.exp(-1j * w * t))
+        amp = np.dot(table, np.exp(minus_iw * t))
         return -abs(amp) ** 2
 
     span = hi - lo

@@ -334,6 +334,83 @@ def test_import_loads_no_dependency_but_numpy():
     assert done.stdout.split() == ["numpy", "qnav"]
 
 
+def test_import_is_lazy():
+    """import qnav loads no submodule and no numpy; each export resolves on access."""
+    src = str(Path(qnav.__file__).resolve().parents[1])
+    probe = (
+        "import json, sys, qnav; "
+        "print(json.dumps([sorted(m for m in sys.modules if m == 'numpy' or m.startswith('qnav.')), "
+        "sorted(set(qnav.__all__) - set(dir(qnav)))]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, not_listed = json.loads(done.stdout)
+    assert loaded == []
+    assert not_listed == []
+
+    exported = [name for name in qnav.__all__ if name != "__version__"]
+    assert len(exported) == 44
+    for name in exported:
+        value = getattr(qnav, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+    star = {}
+    exec("from qnav import *", star)
+    assert set(qnav.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qnav.no_such_name
+
+
+BLAS_THREADS_PROBE = """
+import ctypes, json, os
+import qnav.__main__
+maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+threads = {}
+for lib in sorted({ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower() and ".so" in ln}):
+    dll = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(dll, sym, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            threads[lib] = fn()
+            break
+print(json.dumps({"env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+                  "threads": threads}))
+"""
+
+
+def run_with_thread_env(argv, **preset):
+    """A fresh interpreter with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as preset only."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(Path(qnav.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_main_runs_blas_on_one_thread():
+    report = json.loads(run_with_thread_env(["-c", BLAS_THREADS_PROBE]))
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    if not report["threads"]:
+        pytest.skip("no OpenBLAS library mapped in this process")
+    assert set(report["threads"].values()) == {1}, report["threads"]
+
+
+@pytest.mark.parametrize(
+    "preset", [{"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}], ids=["openblas", "omp"]
+)
+def test_main_keeps_a_preset_thread_setting(preset):
+    report = json.loads(run_with_thread_env(["-c", BLAS_THREADS_PROBE], **preset))
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None} | preset
+
+
+def test_main_output_does_not_depend_on_blas_threads():
+    task = str(Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "state.json")
+    argv = ["-m", "qnav", "solve-state", task]
+    assert run_with_thread_env(argv) == run_with_thread_env(argv, OPENBLAS_NUM_THREADS="2")
+
+
 def test_exit_code_wind_too_strong(tmp_path, capsys):
     task = write_json(tmp_path / "t.json", state_doc(epsilon=1.2))
     code, _ = run(capsys, ["solve-state", task])

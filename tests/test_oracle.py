@@ -23,7 +23,15 @@ from qnav import (
 from qnav.linalg import SIGMA_Y, spectral_span
 from qnav.state_nav import canonicalize
 
-from conftest import benchmark_task, haar_state, haar_unitary, make_task, random_unit_axis, wind_from_axis
+from conftest import (
+    benchmark_task,
+    haar_state,
+    haar_unitary,
+    make_task,
+    random_traceless_hermitian,
+    random_unit_axis,
+    wind_from_axis,
+)
 
 
 def assembled_hamiltonian(ctask, rec):
@@ -170,6 +178,33 @@ def test_first_passage_decomposes_once(monkeypatch):
     res = first_passage(h, StateVector([1.0, 0.0]), StateVector([np.cos(0.4), np.sin(0.4)]))
     assert res.reached
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_refine_peak_is_bitwise_the_per_step_product(rng, monkeypatch, n):
+    """The peak refinement forms -1j*w once; its objective must still give
+    the bits of the per-step amplitude sum(table * exp(-1j * w * t))."""
+    searches = []
+    real = qnav.oracle.golden_min
+
+    def spy(f, lo, hi, xtol):
+        searches.append((f, lo, hi, xtol))
+        return real(f, lo, hi, xtol)
+
+    monkeypatch.setattr(qnav.oracle, "golden_min", spy)
+    h = random_traceless_hermitian(rng, n, strength=1.0)
+    t, f, w, table = qnav.oracle._curve(h, haar_state(rng, n), haar_state(rng, n), None, None)
+    j = int(np.argmax(f[1:-1])) + 1
+    t_peak, f_peak = qnav.oracle._refine_peak(w, table, t[j - 1], t[j + 1])
+
+    def neg_f(s):
+        return -abs(np.dot(table, np.exp(-1j * w * s))) ** 2
+
+    ((objective, lo, hi, xtol),) = searches
+    probes = np.linspace(lo, hi, 65)
+    assert [objective(s) for s in probes] == [neg_f(s) for s in probes]
+    t_ref, neg_ref = real(neg_f, lo, hi, xtol)
+    assert (t_peak, f_peak) == (float(t_ref), float(-neg_ref))
 
 
 def test_first_passage_skips_the_span_when_both_steps_are_given(monkeypatch):
