@@ -30,7 +30,6 @@ _EXPORTS = {
     "pauli_decompose": "linalg",
     "hs_trace_product": "linalg",
     "expm_unitary": "linalg",
-    "logm_unitary": "linalg",
     "CanonicalFrame": "bloch",
     "WindSpec": "bloch",
     "state_to_bloch": "bloch",

@@ -104,6 +104,13 @@ def _tiebreak_unit_orthogonal(b_hat):
     return e / np.linalg.norm(e)
 
 
+def _cross(a, b):
+    """a x b for 3-vectors, in np.cross's operation order, so bit for bit its result."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def build_canonical_frame(psi_i, psi_f):
     """Frame placing psi_i at 1/2(cos t/2, 0, sin t/2) and psi_f mirrored below.
 
@@ -125,7 +132,7 @@ def build_canonical_frame(psi_i, psi_f):
         # one Gram-Schmidt pass keeps orthogonality at machine precision
         z_ax -= np.dot(z_ax, x_ax) * x_ax
         z_ax /= np.linalg.norm(z_ax)
-    y_ax = np.cross(z_ax, x_ax)
+    y_ax = _cross(z_ax, x_ax)
     rot = np.vstack([x_ax, y_ax, z_ax])
     return CanonicalFrame(rotation=rot, theta=float(theta), antipodal_tiebreak=antipodal)
 
@@ -176,7 +183,11 @@ def transform_wind(frame, h0):
     """
     if h0.dim != 2:
         raise DimensionError(f"wind transform needs dim 2, got {h0.dim}")
-    _, traceless = split_trace(h0)
+    return _traceless_wind(frame, split_trace(h0)[1])
+
+
+def _traceless_wind(frame, traceless):
+    """transform_wind for a background whose trace is already split off."""
     _, a = pauli_decompose(traceless)
     eps = 2.0 * float(np.dot(a, a))
     if eps == 0.0:

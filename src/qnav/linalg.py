@@ -1,9 +1,10 @@
 """Complex linear algebra on small dense matrices.
 
 Pauli composition and decomposition, Hermitian and unitary checks,
-matrix exponentials of Hermitian generators and logarithms of unitaries,
-Hilbert-Schmidt trace products. Everything here targets dims up to ~8,
-so eigendecomposition is used throughout instead of Pade-style schemes.
+matrix exponentials of Hermitian generators, eigenphases of unitaries and
+their generators on an explicit log branch, Hilbert-Schmidt trace
+products. Everything here targets dims up to ~8, so eigendecomposition is
+used throughout instead of Pade-style schemes.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ __all__ = [
     "hs_trace_product",
     "expm_unitary",
     "branch_generator",
-    "logm_unitary",
     "unitary_eigenphases",
     "require_unitary",
     "split_trace",
@@ -196,25 +196,6 @@ def branch_generator(lam, q, offsets):
             f"branch offsets must have length {lam.size}, got shape {offsets.shape}"
         )
     return HermitianOperator((q * (lam + 2.0 * np.pi * offsets)) @ q.conj().T)
-
-
-def logm_unitary(u, branch_offsets=None):
-    """Hermitian X with u = e^{-i X}, on an explicitly chosen branch.
-
-    Eigenphases are taken in the principal window (-pi, pi], sorted
-    ascending, then shifted by 2*pi*branch_offsets[k] per eigenvalue.
-    Offsets default to all zeros. The result re-exponentiates to u
-    within UNITARY_TOL; a larger residual raises NotUnitaryError.
-    """
-    lam, q = unitary_eigenphases(u)
-    if branch_offsets is None:
-        branch_offsets = np.zeros(lam.size, dtype=int)
-    op = branch_generator(lam, q, branch_offsets)
-    back = expm_unitary(op, 1.0)
-    resid = float(np.max(np.abs(back - np.asarray(u, dtype=complex))))
-    if resid > UNITARY_TOL:
-        raise NotUnitaryError(f"log re-exponentiation residual {resid:.3e}")
-    return op
 
 
 def split_trace(h):

@@ -20,6 +20,8 @@ from .minimize import golden_min
 DETECT_THRESHOLD = 1.0 - 1e-6
 CONFIRM_THRESHOLD = 1.0 - 1e-9
 REFINE_XTOL = 1e-12
+# largest sampled grid (t_max/dt + 1 points); a bigger one is refused before allocation
+MAX_ORACLE_SAMPLES = 10**7
 
 HERMITIAN_TOL = 1e-10  # anti-Hermitian drift of a result read back by `verify`
 BUDGET_TOL = 1e-9
@@ -28,6 +30,7 @@ DECOMP_TOL = 1e-10
 GATE_RELATION_TOL = 1e-9
 
 __all__ = [
+    "MAX_ORACLE_SAMPLES",
     "PassageResult",
     "Check",
     "first_passage",
@@ -83,12 +86,20 @@ def _curve(h, psi_i, psi_f, t_max, dt):
 
     The amplitude is summed eigencomponent by eigencomponent, each term an
     elementwise product of arrays of len(t), so no BLAS matrix-vector call
-    (and none of its worker threads) is involved.
+    (and none of its worker threads) is involved. A grid of more than
+    MAX_ORACLE_SAMPLES points raises ValueError before anything is allocated.
     """
     t_max, dt = _default_steps(h, t_max, dt)
     if not dt > 0.0 or not t_max > 0.0:
         raise ValueError("t_max and dt must be positive")
-    n = int(math.floor(t_max / dt)) + 1
+    steps = t_max / dt
+    # n = floor(steps) + 1 exceeds the cap exactly when steps reaches it
+    if not steps < MAX_ORACLE_SAMPLES:
+        raise ValueError(
+            f"oracle grid needs n = {steps + 1:.6g} samples (t_max {t_max:.6g}, dt {dt:.6g}), "
+            f"above MAX_ORACLE_SAMPLES = {MAX_ORACLE_SAMPLES}"
+        )
+    n = int(math.floor(steps)) + 1
     t = dt * np.arange(n)
     w, table = _amplitude_table(h, psi_i, psi_f)
     amp = table[0] * np.exp(-1j * (t * w[0]))

@@ -19,8 +19,8 @@ from .bloch import (
     DEGENERATE_THETA_TOL,
     CanonicalFrame,
     WindSpec,
+    _traceless_wind,
     build_canonical_frame,
-    transform_wind,
 )
 from .errors import DimensionError
 from .linalg import (
@@ -40,7 +40,12 @@ DEFAULT_PHI_TOL = 1e-10
 # optimize's scan grid with 2 pi appended; the size is a power of two, so
 # index DEFAULT_GRID_POINTS // 2 holds pi exactly
 _SCAN_PHIS = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS + 1) / DEFAULT_GRID_POINTS
-_SCAN_PHIS.setflags(write=False)
+# cos and sin of the scan grid, functions of phi alone and so fixed
+_SCAN_COS = np.cos(_SCAN_PHIS[:-1])
+_SCAN_SIN = np.sin(_SCAN_PHIS[:-1])
+for _table in (_SCAN_PHIS, _SCAN_COS, _SCAN_SIN):
+    _table.setflags(write=False)
+del _table
 # below this |sin phi| the two alpha computations are both ~pi but differ
 # in rounding structure, so the cross-check is skipped
 _ORIENTATION_CHECK_MIN_SIN = 1e-6
@@ -132,8 +137,8 @@ def canonicalize(task):
             "direct navigation handles qubit tasks; reduce larger dims first"
         )
     frame = build_canonical_frame(task.psi_initial, task.psi_final)
-    trace_half, _ = split_trace(task.h0)
-    wind = transform_wind(frame, task.h0)
+    trace_half, traceless = split_trace(task.h0)
+    wind = _traceless_wind(frame, traceless)
     return CanonicalStateTask(
         theta=frame.theta,
         frame=frame,
@@ -178,18 +183,23 @@ def alpha_geometric(theta, phi):
     Rotates the initial Bloch vector about the equatorial axis at angle
     phi and reads off the signed angle to the target around that axis,
     folded into (0, 2*pi]. Used as an independent cross-check of the
-    trigonometric branch rule, so it takes its own cos and sin of phi.
-    The vectors are written out component by component: the axis
-    (cos phi, sin phi, 0), its point nearest b_i, the offsets u_i and
-    u_f of both Bloch vectors from it, and the triple and dot products
-    that give the signed angle.
+    trigonometric branch rule: it shares only cos(phi) and sin(phi) with
+    it, and computes the angle by a different formula. The vectors are
+    written out component by component: the axis (cos phi, sin phi, 0),
+    its point nearest b_i, the offsets u_i and u_f of both Bloch vectors
+    from it, and the triple and dot products that give the signed angle.
     """
     phi = np.asarray(phi, dtype=float)
+    ang = _alpha_geometric(theta, np.cos(phi), np.sin(phi))
+    return ang if ang.ndim else float(ang)
+
+
+def _alpha_geometric(theta, ax, ay):
+    """alpha_geometric for ax = cos(phi) and ay = sin(phi); always an array."""
     half = theta / 2.0
     # b_i = (bx, 0, bz) and b_f = (bx, 0, -bz)
     bx = 0.5 * np.cos(half)
     bz = 0.5 * np.sin(half)
-    ax, ay = np.cos(phi), np.sin(phi)
     # centre = (axis . b_i) axis; u_i and u_f share their x and y parts
     d = ax * bx
     ux = bx - d * ax
@@ -199,8 +209,7 @@ def alpha_geometric(theta, phi):
     # u_i . u_f
     cos_part = ux * ux + uy * uy - bz * bz
     ang = np.arctan2(sin_part, cos_part)
-    ang = np.where(ang <= 0.0, ang + 2.0 * np.pi, ang)
-    return ang if ang.ndim else float(ang)
+    return np.where(ang <= 0.0, ang + 2.0 * np.pi, ang)
 
 
 def _principal_angle(theta, s):
@@ -210,17 +219,17 @@ def _principal_angle(theta, s):
     return np.arccos(np.clip(g, -1.0, 1.0))
 
 
-def _alpha(theta, phi, s):
-    """alpha_of_phi for phi (a float64 array, maybe 0-d) and s = sin(phi)."""
+def _alpha(theta, c, s):
+    """alpha_of_phi for c = cos(phi) and s = sin(phi), float64 arrays (maybe 0-d)."""
     if theta >= np.pi - DEGENERATE_THETA_TOL:
         # antipodal states: every equatorial rotation needs a half turn
-        return np.full(phi.shape, np.pi)
+        return np.full(s.shape, np.pi)
     base = _principal_angle(theta, s)
     alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
 
     check = np.abs(s) > _ORIENTATION_CHECK_MIN_SIN
     if np.any(check):
-        geo = np.asarray(alpha_geometric(theta, phi))
+        geo = _alpha_geometric(theta, c, s)
         err = np.max(np.abs(np.where(check, alpha - geo, 0.0)))
         if err > _ORIENTATION_CHECK_TOL:
             raise ArithmeticError(
@@ -235,10 +244,11 @@ def alpha_of_phi(theta, phi):
     The arccos expression gives the angle in [0, pi]; the rotation
     reaches the target forward for sin phi > 0 and backward otherwise,
     so the first positive angle is its 2*pi complement for sin phi < 0
-    and exactly pi on the boundary. Checked against alpha_geometric.
+    and exactly pi on the boundary. Checked against alpha_geometric, fed
+    the same cos(phi) and sin(phi).
     """
     phi = np.asarray(phi, dtype=float)
-    alpha = _alpha(theta, phi, np.sin(phi))
+    alpha = _alpha(theta, np.cos(phi), np.sin(phi))
     return alpha if alpha.ndim else float(alpha)
 
 
@@ -255,6 +265,16 @@ def _omega_residual(wind, c, s, omega):
     )
 
 
+def _voyage_curve(ctask, phi, c, s):
+    """tau_of_phi's checked curve of arrays at phi, given c = cos(phi) and s = sin(phi)."""
+    omega = _omega(ctask.wind, c, s)
+    alpha = _alpha(ctask.theta, c, s)
+    resid = np.max(np.abs(_omega_residual(ctask.wind, c, s, omega)))
+    if resid > CONSTRAINT_RESIDUAL_TOL:
+        raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
+    return VoyageCurve(phi=phi, omega=omega, alpha=alpha, tau=alpha / omega)
+
+
 def tau_of_phi(ctask, phi):
     """Voyage-time curve at a scalar or an array of control angles.
 
@@ -262,21 +282,19 @@ def tau_of_phi(ctask, phi):
     when the full-throttle residual exceeds CONSTRAINT_RESIDUAL_TOL or the
     orientation check of alpha_of_phi fails. cos(phi) and sin(phi) are
     taken once and fed to the formulas behind omega_of_phi, alpha_of_phi
-    and the residual, so omega and alpha equal those public functions bit
-    for bit. An array gives, element for element, the floats of one call
-    per angle. rho is left to rho_of_phi.
+    (with its geometric check) and the residual, so omega and alpha equal
+    those public functions bit for bit. An array gives, element for
+    element, the floats of one call per angle. optimize's scan runs the
+    same checked curve on precomputed cos and sin tables of its grid.
+    rho is left to rho_of_phi.
     """
     scalar = np.ndim(phi) == 0
     phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
-    omega = _omega(ctask.wind, c, s)
-    alpha = _alpha(ctask.theta, phi, s)
-    resid = np.max(np.abs(_omega_residual(ctask.wind, c, s, omega)))
-    if resid > CONSTRAINT_RESIDUAL_TOL:
-        raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
+    curve = _voyage_curve(ctask, phi, np.cos(phi), np.sin(phi))
     if scalar:
-        phi, omega, alpha = float(phi), float(omega), float(alpha)
-    return VoyageCurve(phi=phi, omega=omega, alpha=alpha, tau=alpha / omega)
+        phi, omega, alpha = float(phi), float(curve.omega), float(curve.alpha)
+        return VoyageCurve(phi=phi, omega=omega, alpha=alpha, tau=alpha / omega)
+    return curve
 
 
 def sweep(task, n_points=DEFAULT_GRID_POINTS):
@@ -333,21 +351,18 @@ def _refine_objective(ctask, seen):
     return tau
 
 
-def _refine_half(ctask, tau, start, stop):
+def _refine_half(ctask, tau, start, stop, seen):
     """Golden refinement around the grid minimum among scan indices [start, stop).
 
     The minimum's two grid neighbours bracket the search; _SCAN_PHIS carries
     2 pi after the last grid angle, so both exist for every index of either
-    open half. Every angle the search evaluates is cross-checked against the
-    vector geometry in one batched alpha_of_phi call after the search.
+    open half. Every angle the search evaluates is appended to seen, for the
+    caller to cross-check against the vector geometry.
     """
     best = start + np.argmin(tau[start:stop])
-    seen = []
-    refined = golden_min(
+    return golden_min(
         _refine_objective(ctask, seen), _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL
     )
-    alpha_of_phi(ctask.theta, np.asarray(seen))
-    return refined
 
 
 def _assemble(task, ctask, phi_star):
@@ -381,20 +396,27 @@ def optimize(task):
     where the orientation branch changes, so refinement never brackets
     across phi in {0, pi}; the grid holds both angles exactly, and their
     scanned voyage times are the boundary candidates.
+
+    The scan is tau_of_phi's checked curve on the grid, fed the fixed
+    _SCAN_COS and _SCAN_SIN tables instead of fresh trig. The orientation
+    check covers every grid angle within the scan, and every angle either
+    refinement evaluated in one alpha_of_phi batch after both searches.
     """
     ctask = canonicalize(task)
     if ctask.wind.is_zero:
         # no wind: full throttle along the geodesic, no scan needed
         return _assemble(task, ctask, np.pi / 2.0)
 
-    tau = tau_of_phi(ctask, _SCAN_PHIS[:-1]).tau
+    tau = _voyage_curve(ctask, _SCAN_PHIS[:-1], _SCAN_COS, _SCAN_SIN).tau
     half = DEFAULT_GRID_POINTS // 2
+    seen = []
     candidates = [
-        _refine_half(ctask, tau, 1, half),
-        _refine_half(ctask, tau, half + 1, DEFAULT_GRID_POINTS),
+        _refine_half(ctask, tau, 1, half, seen),
+        _refine_half(ctask, tau, half + 1, DEFAULT_GRID_POINTS, seen),
         (0.0, tau[0]),
         (np.pi, tau[half]),
     ]
+    alpha_of_phi(ctask.theta, np.asarray(seen))
     tau_best = min(c[1] for c in candidates)
     phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     return _assemble(task, ctask, phi_star)

@@ -11,6 +11,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def capped_arange(monkeypatch):
+    """np.arange refusing any length above the oracle's sample cap, so a test
+    of the cap fails instead of allocating the grid it should refuse."""
+    from qnav.oracle import MAX_ORACLE_SAMPLES
+
+    real = np.arange
+
+    def arange(*args, **kwargs):
+        if args and np.ndim(args[0]) == 0 and args[0] > MAX_ORACLE_SAMPLES:
+            raise AssertionError(f"np.arange({args[0]}) above the oracle sample cap")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: bit for bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def haar_state(rng, dim=2):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(z / np.linalg.norm(z))

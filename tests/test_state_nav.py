@@ -33,6 +33,7 @@ from conftest import (
     haar_unitary,
     make_task,
     random_unit_axis,
+    same_bits,
     symmetric_pair,
     wind_from_axis,
 )
@@ -154,22 +155,44 @@ def test_alpha_geometric_scalar_is_float():
     assert alpha_geometric(1.1, 0.7) == alpha_geometric(1.1, np.array([0.7]))[0]
 
 
+def spy_refined_checks(monkeypatch):
+    """Record each alpha_of_phi call optimize makes: its angles, and whether it returned."""
+    calls = []
+    real = state_nav.alpha_of_phi
+
+    def spy(theta, phi):
+        call = {"phi": np.array(phi, dtype=float), "returned": False}
+        calls.append(call)
+        out = real(theta, phi)
+        call["returned"] = True
+        return out
+
+    monkeypatch.setattr(state_nav, "alpha_of_phi", spy)
+    return calls
+
+
 def test_scan_cross_checks_every_grid_angle(monkeypatch):
     """Perturb the geometry at one grid angle of the losing half: only the
-    orientation check of the grid scan sees it, and it raises."""
+    orientation check of the grid scan sees it, and it raises before the
+    refined angles are checked."""
     task = benchmark_task()
-    grid = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS) / DEFAULT_GRID_POINTS
-    target = grid[3 * DEFAULT_GRID_POINTS // 4]
-    real = state_nav.alpha_geometric
+    k = 3 * DEFAULT_GRID_POINTS // 4
+    calls = spy_refined_checks(monkeypatch)
+    sol = optimize(task)
+    assert state_nav._SCAN_PHIS[k] not in calls[0]["phi"]
+    assert sol.phi_star != state_nav._SCAN_PHIS[k]
 
-    def geo(theta, phi):
-        phi = np.asarray(phi, dtype=float)
-        out = np.asarray(real(theta, phi)) + np.where(phi == target, 1e-6, 0.0)
-        return out if out.ndim else float(out)
+    c_k, s_k = state_nav._SCAN_COS[k], state_nav._SCAN_SIN[k]
+    real = state_nav._alpha_geometric
 
-    monkeypatch.setattr(state_nav, "alpha_geometric", geo)
+    def geo(theta, c, s):
+        return real(theta, c, s) + np.where((c == c_k) & (s == s_k), 1e-6, 0.0)
+
+    monkeypatch.setattr(state_nav, "_alpha_geometric", geo)
+    calls.clear()
     with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
         optimize(task)
+    assert calls == []
 
 
 def test_tau_z_wind_closed_form():
@@ -454,28 +477,110 @@ def test_refine_objective_matches_public_formulas_bitwise(rng):
 
 
 def test_optimize_cross_checks_every_refined_angle(monkeypatch):
-    """Perturb the geometry at off-grid angles of the losing half only: the
-    grid scan, the boundary candidates and the assembled optimum (in the
-    first half) never see it, so only the batched check of the golden
-    evaluations can raise."""
+    """Perturb the geometry at off-grid angles of the losing half only
+    (sin phi < 0, cos and sin off the scan tables): the grid scan, the
+    boundary candidates and the assembled optimum (in the first half) never
+    see it, so only the merged check of the golden evaluations can raise."""
     task = benchmark_task()
-    grid = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS) / DEFAULT_GRID_POINTS
-    real = state_nav.alpha_geometric
+    real = state_nav._alpha_geometric
 
     def perturbed(shift):
-        def geo(theta, phi):
-            phi = np.asarray(phi, dtype=float)
-            off = (phi > np.pi) & ~np.isin(phi, grid)
-            out = np.asarray(real(theta, phi)) + np.where(off, shift, 0.0)
-            return out if out.ndim else float(out)
+        def geo(theta, c, s):
+            on_grid = np.isin(c, state_nav._SCAN_COS) & np.isin(s, state_nav._SCAN_SIN)
+            return real(theta, c, s) + np.where((s < 0.0) & ~on_grid, shift, 0.0)
 
         return geo
 
-    monkeypatch.setattr(state_nav, "alpha_geometric", perturbed(1e-10))
+    calls = spy_refined_checks(monkeypatch)
+    monkeypatch.setattr(state_nav, "_alpha_geometric", perturbed(1e-10))
     assert optimize(task).phi_star < np.pi
-    monkeypatch.setattr(state_nav, "alpha_geometric", perturbed(1e-6))
+    assert [call["returned"] for call in calls] == [True]
+    calls.clear()
+    monkeypatch.setattr(state_nav, "_alpha_geometric", perturbed(1e-6))
     with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
         optimize(task)
+    # the one merged batch was entered and raised
+    assert [call["returned"] for call in calls] == [False]
+    assert np.any(calls[0]["phi"] > np.pi)
+
+
+def test_optimize_checks_both_refinements_in_one_batch(monkeypatch):
+    """One alpha_of_phi call per solve, holding every angle that either
+    golden search evaluated, in evaluation order."""
+    searches = []
+    real_golden = state_nav.golden_min
+
+    def golden(f, lo, hi, xtol):
+        evaluated = []
+        searches.append(evaluated)
+        return real_golden(lambda x: evaluated.append(x) or f(x), lo, hi, xtol)
+
+    monkeypatch.setattr(state_nav, "golden_min", golden)
+    calls = spy_refined_checks(monkeypatch)
+    optimize(benchmark_task())
+    assert len(searches) == 2
+    (call,) = calls
+    assert call["returned"]
+    assert call["phi"].tolist() == searches[0] + searches[1]
+    assert np.all(np.array(searches[0]) <= np.pi)
+    assert np.all(np.array(searches[1]) >= np.pi)
+
+
+def test_scan_tables_are_the_grid_trig():
+    grid = state_nav._SCAN_PHIS[:-1]
+    for table, trig in ((state_nav._SCAN_COS, np.cos), (state_nav._SCAN_SIN, np.sin)):
+        assert same_bits(table, trig(grid))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    assert not state_nav._SCAN_PHIS.flags.writeable
+
+
+def test_scan_curve_is_tau_of_phi_on_the_grid(monkeypatch, rng):
+    """The scan feeds the tables to the curve core; every field it produces
+    equals tau_of_phi on the grid bit for bit."""
+    scans = []
+    real = state_nav._voyage_curve
+
+    def spy(ctask, phi, c, s):
+        curve = real(ctask, phi, c, s)
+        if c is state_nav._SCAN_COS:
+            assert s is state_nav._SCAN_SIN
+            scans.append((ctask, curve))
+        return curve
+
+    monkeypatch.setattr(state_nav, "_voyage_curve", spy)
+    tasks = [benchmark_task(), make_task(np.pi, 0.5, [0.3, 0.4, np.sqrt(0.75)])]
+    tasks += [make_task(rng.uniform(0.1, 3.0), rng.uniform(0.01, 0.9), random_unit_axis(rng)) for _ in range(6)]
+    for task in tasks:
+        optimize(task)
+    assert len(scans) == len(tasks)
+    grid = state_nav._SCAN_PHIS[:-1]
+    for ctask, curve in scans:
+        expected = tau_of_phi(ctask, grid)
+        assert all(same_bits(got, want) for got, want in zip(curve, expected))
+
+
+@pytest.mark.parametrize("k", [0, DEFAULT_GRID_POINTS // 2], ids=["zero", "pi"])
+def test_boundary_candidate_read_at_its_grid_index(monkeypatch, k):
+    """Lower the scanned voyage time at phi = 0 or pi below everything else
+    the solver sees: optimize must return that angle exactly, which holds
+    only if its boundary candidate is read at the right scan index."""
+    real = state_nav._voyage_curve
+
+    def lowered(ctask, phi, c, s):
+        curve = real(ctask, phi, c, s)
+        if c is not state_nav._SCAN_COS:
+            return curve
+        tau = curve.tau.copy()
+        tau[k] = 0.5 * np.min(tau)
+        return curve._replace(tau=tau)
+
+    monkeypatch.setattr(state_nav, "_voyage_curve", lowered)
+    task = benchmark_task()
+    sol = optimize(task)
+    assert sol.phi_star == (0.0 if k == 0 else np.pi)
+    assert sol.tau_star == tau_of_phi(canonicalize(task), sol.phi_star).tau
 
 
 def test_scan_grid_holds_zero_and_pi_exactly(rng):
