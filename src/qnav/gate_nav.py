@@ -7,15 +7,17 @@ logarithm branch is never guessed: callers pass explicit eigenphase
 offsets, or enumerate them.
 """
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, NoOpGateError
 from .linalg import (
     HermitianOperator,
+    _integer_offsets,
     branch_generator,
     hs_trace_product,
     require_unitary,
@@ -29,6 +31,12 @@ from .oracle import require_passed, solution_checks
 NOOP_TRACE_TOL = 1e-20
 # largest offset box (2*max_offset + 1)^(n - 1) a branch search may allocate
 MAX_BRANCH_CANDIDATES = 1 << 20
+# offset tables kept for reuse: at most this many, each of a box whose
+# (2*max_offset + 1)^(n - 1) rows times n columns stay within the cell limit
+_OFFSET_CACHE_ENTRIES = 32
+_OFFSET_CACHE_MAX_CELLS = 1 << 14
+# int64 entries: 32 * 2^14 * 8 bytes = 4 MiB at most
+_OFFSET_CACHE_MAX_BYTES = _OFFSET_CACHE_ENTRIES * _OFFSET_CACHE_MAX_CELLS * 8
 
 __all__ = [
     "GateTask",
@@ -41,11 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GateTask:
-    """Gate-transport problem: reach u_final from u_initial despite h0."""
+    """Gate-transport problem: reach u_final from u_initial despite h0.
+
+    Construction splits h0 once into (trace/dim, traceless part,
+    tr(traceless^2)); the budget check reads the last, and every solve
+    and survey on the task reads all three instead of splitting again.
+    """
 
     u_initial: np.ndarray
     u_final: np.ndarray
     h0: HermitianOperator
+    _h0_split: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ui = require_unitary(self.u_initial, "u_initial")
@@ -56,8 +70,10 @@ class GateTask:
             raise DimensionError(
                 f"background dim {self.h0.dim} does not match gate dim {ui.shape[0]}"
             )
-        _, traceless = split_trace(self.h0)
-        require_wind_below_budget(hs_trace_product(traceless, traceless))
+        trace_half, traceless = split_trace(self.h0)
+        strength = hs_trace_product(traceless, traceless)
+        require_wind_below_budget(strength)
+        object.__setattr__(self, "_h0_split", (trace_half, traceless, strength))
         ui = ui.copy()
         uf = uf.copy()
         ui.setflags(write=False)
@@ -125,29 +141,30 @@ def solve_gate(task, branch=None):
 
     branch lists one integer eigenphase offset (in turns) per ascending
     canonical eigenphase; offsets must sum to zero so the generator
-    stays traceless. Defaults to all zeros.
+    stays traceless. Defaults to all zeros. A branch of the wrong length,
+    with a non-integral entry or a nonzero sum is refused before the gate
+    relation is decomposed.
     """
     if branch is None:
         branch = (0,) * task.dim
-    lam, q, su_phase = _canonical_phases(task)
-    x = branch_generator(lam, q, branch)
-    offs = np.asarray(branch, dtype=int)
+    offs = _integer_offsets(branch, task.dim)
     if int(offs.sum()) != 0:
         raise ValueError(f"branch offsets must sum to zero, got {offs.tolist()}")
-    return _solve_on_branch(task, x, offs, su_phase)
+    lam, q, su_phase = _canonical_phases(task)
+    return _solve_on_branch(task, branch_generator(lam, q, offs), offs, su_phase)
 
 
 def _solve_on_branch(task, x, offs, su_phase):
     """Solve and check on the branch offs with generator x and SU phase su_phase."""
     n = task.dim
-    h0_trace_half, h0_traceless = split_trace(task.h0)
+    h0_trace_half, h0_traceless, strength = task._h0_split
     b = hs_trace_product(x, x)
     if b <= NOOP_TRACE_TOL:
         raise NoOpGateError(
             "gate relation is the identity on this branch; pick a nonzero branch"
         )
     a = hs_trace_product(h0_traceless, x)
-    c = 1.0 - hs_trace_product(h0_traceless, h0_traceless)
+    c = 1.0 - strength
     t_voyage = _voyage_time(a, b, c)
 
     h_total = HermitianOperator(x.matrix / t_voyage + h0_trace_half * np.eye(n))
@@ -170,14 +187,23 @@ def _solve_on_branch(task, x, offs, su_phase):
 
 
 def _offset_table(n, max_offset):
-    """Zero-sum offset vectors with entries in [-max_offset, max_offset].
+    """Read-only zero-sum offset vectors with entries in [-max_offset, max_offset].
 
     Rows come in lexicographic order so that ties in voyage time resolve
     to the lexicographically smallest vector. The box of leading offsets
-    is checked against MAX_BRANCH_CANDIDATES before it is allocated.
+    is checked against MAX_BRANCH_CANDIDATES before any table is looked
+    up or allocated.
+
+    A table depends only on (n, max_offset), so tables of boxes with at
+    most _OFFSET_CACHE_MAX_CELLS entries ((2*max_offset + 1)^(n - 1) rows
+    times n columns) are built once and kept, up to _OFFSET_CACHE_ENTRIES
+    of them, least recently used out first; larger ones are built per
+    call. The kept tables hold at most _OFFSET_CACHE_MAX_BYTES (4 MiB) in
+    all. int and numpy integer arguments share one entry.
     """
-    # a Python int, so that the box size below cannot wrap around as a
-    # fixed-width numpy integer would
+    # Python ints, so that the box size below cannot wrap around as a
+    # fixed-width numpy integer would, and so that equal keys hash alike
+    n = operator.index(n)
     max_offset = operator.index(max_offset)
     if max_offset < 0:
         raise ValueError(f"max_offset must be >= 0, got {max_offset}")
@@ -187,10 +213,24 @@ def _offset_table(n, max_offset):
             f"branch box (2*{max_offset}+1)^{n - 1} = {box} exceeds "
             f"MAX_BRANCH_CANDIDATES = {MAX_BRANCH_CANDIDATES}; lower max_offset"
         )
+    if box * n <= _OFFSET_CACHE_MAX_CELLS:
+        return _cached_offset_table(n, max_offset)
+    return _build_offset_table(n, max_offset)
+
+
+def _build_offset_table(n, max_offset):
+    """_offset_table's rows, built afresh and made read-only."""
     head = np.indices((2 * max_offset + 1,) * (n - 1)).reshape(n - 1, -1).T - max_offset
     last = -head.sum(axis=1)
     keep = np.abs(last) <= max_offset
-    return np.column_stack((head[keep], last[keep]))
+    table = np.column_stack((head[keep], last[keep]))
+    table.setflags(write=False)
+    return table
+
+
+# a batch over n = 2..5 and max_offset = 1..3 walks 12 keys in a fixed
+# cycle; an LRU of fewer entries would evict each key before it returns
+_cached_offset_table = functools.lru_cache(maxsize=_OFFSET_CACHE_ENTRIES)(_build_offset_table)
 
 
 def _survey(task, max_offset):
@@ -201,10 +241,10 @@ def _survey(task, max_offset):
     offs = _offset_table(task.dim, max_offset)
     canonical = _canonical_phases(task)
     lam, q, _ = canonical
-    _, h0_traceless = split_trace(task.h0)
+    _, h0_traceless, strength = task._h0_split
     # diagonal of h0 in the eigenbasis of the gate relation
     weights = np.real(np.einsum("ij,ik,kj->j", q.conj(), h0_traceless.matrix, q))
-    c = 1.0 - hs_trace_product(h0_traceless, h0_traceless)
+    c = 1.0 - strength
     phases = lam + 2.0 * math.pi * offs
     # vecdot runs the same ddot inner loop as np.dot on one row, so every
     # b and a is bit-identical to a per-branch dot; einsum or @ is not

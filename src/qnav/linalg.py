@@ -7,6 +7,7 @@ products. Everything here targets dims up to ~8, so eigendecomposition is
 used throughout instead of Pade-style schemes.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,16 +186,28 @@ def unitary_eigenphases(u):
     return lam[order], q
 
 
+def _integer_offsets(offsets, n):
+    """offsets as an int array of shape (n,).
+
+    DimensionError for another shape; ValueError for an entry that is not
+    an integer (operator.index fails), so 0.7 is never truncated to 0.
+    """
+    raw = np.asarray(offsets)
+    if raw.shape != (n,):
+        raise DimensionError(f"branch offsets must have length {n}, got shape {raw.shape}")
+    try:
+        return np.array([operator.index(k) for k in raw.tolist()], dtype=int)
+    except TypeError:
+        raise ValueError(f"branch offsets must be integers, got {raw.tolist()}") from None
+
+
 def branch_generator(lam, q, offsets):
     """Generator q diag(lam + 2 pi offsets) q^dagger of q diag(e^{-i lam}) q^dagger.
 
-    offsets holds one integer number of turns per eigenphase; DimensionError otherwise.
+    offsets holds one integer number of turns per eigenphase: DimensionError
+    for another length, ValueError for a non-integral entry.
     """
-    offsets = np.asarray(offsets, dtype=int)
-    if offsets.shape != lam.shape:
-        raise DimensionError(
-            f"branch offsets must have length {lam.size}, got shape {offsets.shape}"
-        )
+    offsets = _integer_offsets(offsets, lam.size)
     return HermitianOperator((q * (lam + 2.0 * np.pi * offsets)) @ q.conj().T)
 
 

@@ -10,7 +10,7 @@ optimal total and control Hamiltonians back in lab coordinates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -73,11 +73,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NavigationTask:
-    """State-transport problem: carry psi_initial to psi_final despite h0."""
+    """State-transport problem: carry psi_initial to psi_final despite h0.
+
+    For a qubit task, construction splits h0 once into (trace/2,
+    traceless part, tr(traceless^2)); the budget check reads the last,
+    and canonicalize reads the first two instead of splitting again.
+    Larger tasks keep None there: their budget check and split happen on
+    the reduced block.
+    """
 
     psi_initial: StateVector
     psi_final: StateVector
     h0: HermitianOperator
+    _h0_split: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.psi_initial.dim != self.psi_final.dim:
@@ -92,8 +100,10 @@ class NavigationTask:
         # for larger dims that block is only known after reduction, so
         # the check moves there
         if self.h0.dim == 2:
-            _, traceless = split_trace(self.h0)
-            require_wind_below_budget(hs_trace_product(traceless, traceless))
+            trace_half, traceless = split_trace(self.h0)
+            strength = hs_trace_product(traceless, traceless)
+            require_wind_below_budget(strength)
+            object.__setattr__(self, "_h0_split", (trace_half, traceless, strength))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +147,7 @@ def canonicalize(task):
             "direct navigation handles qubit tasks; reduce larger dims first"
         )
     frame = build_canonical_frame(task.psi_initial, task.psi_final)
-    trace_half, traceless = split_trace(task.h0)
+    trace_half, traceless, _ = task._h0_split
     wind = _traceless_wind(frame, traceless)
     return CanonicalStateTask(
         theta=frame.theta,
@@ -395,7 +405,10 @@ def optimize(task):
     of each open half (0, pi) and (pi, 2 pi). The curve can have a corner
     where the orientation branch changes, so refinement never brackets
     across phi in {0, pi}; the grid holds both angles exactly, and their
-    scanned voyage times are the boundary candidates.
+    scanned voyage times are the boundary candidates. Equal voyage times
+    go to the smaller angle: an optimum at pi exactly is returned as the
+    first half's refined angle just below pi when its time ties the pi
+    candidate's.
 
     The scan is tau_of_phi's checked curve on the grid, fed the fixed
     _SCAN_COS and _SCAN_SIN tables instead of fresh trig. The orientation

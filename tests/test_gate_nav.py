@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qnav.gate_nav
+import qnav.state_nav
 from qnav import (
     DimensionError,
     GateTask,
@@ -22,7 +23,16 @@ from qnav import (
     solve_gate,
     solve_gate_min_branch,
 )
-from qnav.gate_nav import MAX_BRANCH_CANDIDATES, NOOP_TRACE_TOL, _canonical_phases
+from qnav.gate_nav import (
+    _OFFSET_CACHE_ENTRIES,
+    _OFFSET_CACHE_MAX_BYTES,
+    _OFFSET_CACHE_MAX_CELLS,
+    MAX_BRANCH_CANDIDATES,
+    NOOP_TRACE_TOL,
+    _cached_offset_table,
+    _canonical_phases,
+    _offset_table,
+)
 from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_trace
 
 from conftest import haar_state, haar_unitary, random_traceless_hermitian, wind_from_axis
@@ -95,6 +105,33 @@ def test_branch_validation():
         branch_survey(task, -1)
     with pytest.raises(ValueError):
         solve_gate_min_branch(task, -1)
+
+
+@pytest.mark.parametrize("branch", [(0.7, -0.7), (1.5, -1.5), (1.0, -1.0), ("1", "-1")])
+def test_non_integral_branch_rejected_before_decomposition(monkeypatch, branch):
+    """A fractional offset used to be truncated, so (0.7, -0.7) solved and
+    reported branch (0, 0); every non-integer entry now raises, before the
+    relation is decomposed."""
+    task = gate_task(z_rotation(0.4), wind_from_axis(0.2, [1.0, 0.0, 0.0]))
+
+    def refuse(u):
+        raise AssertionError("decomposed an invalid branch")
+
+    monkeypatch.setattr(qnav.gate_nav, "unitary_eigenphases", refuse)
+    with pytest.raises(ValueError, match="integers"):
+        solve_gate(task, branch)
+    with pytest.raises(ValueError, match="sum to zero"):
+        solve_gate(task, (1, 0))
+
+
+def test_numpy_integer_branch_accepted():
+    task = gate_task(z_rotation(0.4), wind_from_axis(0.2, [1.0, 0.0, 0.0]))
+    plain = solve_gate(task, (1, -1))
+    for branch in (np.array([1, -1]), (np.int64(1), np.int32(-1))):
+        sol = solve_gate(task, branch)
+        assert sol.branch == (1, -1)
+        assert all(type(k) is int for k in sol.branch)
+        assert sol.voyage_time == plain.voyage_time
 
 
 def test_branch_survey_matches_full_solver():
@@ -303,8 +340,101 @@ def test_branch_box_bounded_before_allocation(rng, monkeypatch, n, max_offset):
         u_final=haar_unitary(rng, n),
         h0=random_traceless_hermitian(rng, n, strength=0.3),
     )
+    _offset_table(3, 1)
+    cached = _cached_offset_table.cache_info()
     monkeypatch.setattr(qnav.gate_nav, "unitary_eigenphases", refuse)
     monkeypatch.setattr(np, "indices", refuse)
     for search in (branch_survey, solve_gate_min_branch):
         with pytest.raises(ValueError, match=str(box)):
             search(task, max_offset)
+    assert _cached_offset_table.cache_info() == cached
+
+
+def test_solves_read_the_split_of_construction(rng, monkeypatch):
+    """Tasks split their background when they are built; solving, surveying
+    and optimizing an already built task splits nothing again."""
+    calls = []
+
+    def counted(module):
+        original = module.split_trace
+
+        def split_trace(h):
+            calls.append(module.__name__)
+            return original(h)
+
+        monkeypatch.setattr(module, "split_trace", split_trace)
+
+    gate = GateTask(
+        u_initial=haar_unitary(rng, 3),
+        u_final=haar_unitary(rng, 3),
+        h0=HermitianOperator(0.2 * np.eye(3) + random_traceless_hermitian(rng, 3, strength=0.4).matrix),
+    )
+    state = NavigationTask(
+        psi_initial=haar_state(rng),
+        psi_final=haar_state(rng),
+        h0=HermitianOperator(0.3 * np.eye(2) + random_traceless_hermitian(rng, strength=0.5).matrix),
+    )
+    counted(qnav.gate_nav)
+    counted(qnav.state_nav)
+    solve_gate(gate)
+    solve_gate_min_branch(gate, 2)
+    branch_survey(gate, 2)
+    optimize(state)
+    assert calls == []
+
+
+def _zero_sum_rows(n, max_offset):
+    """The offset table as one lexicographic product loop."""
+    rng = range(-max_offset, max_offset + 1)
+    return [row for row in itertools.product(rng, repeat=n) if sum(row) == 0]
+
+
+def test_offset_tables_built_once_and_read_only():
+    """Every key of a batch over n = 2..5, max_offset = 1..3 stays cached at
+    once when walked in a fixed cycle, and each table is the loop's rows."""
+    keys = [(n, m) for n in range(2, 6) for m in range(1, 4)]
+    _cached_offset_table.cache_clear()
+    first = [_offset_table(n, m) for n, m in keys]
+    for (n, m), table in zip(keys, first):
+        assert table.tolist() == [list(row) for row in _zero_sum_rows(n, m)]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 7
+        assert _offset_table(n, m) is table
+    info = _cached_offset_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (12, 12, 12)
+    assert sum(table.nbytes for table in first) < 90_000
+
+
+def test_offset_table_int_and_numpy_keys_share_an_entry():
+    _cached_offset_table.cache_clear()
+    table = _offset_table(3, 2)
+    for n, m in [(np.int64(3), np.int64(2)), (3, np.int32(2)), (np.int64(3), 2)]:
+        assert _offset_table(n, m) is table
+    assert _cached_offset_table.cache_info().currsize == 1
+
+
+def test_offset_cache_memory_bound():
+    """At most _OFFSET_CACHE_ENTRIES tables of at most _OFFSET_CACHE_MAX_CELLS
+    int64 entries each are kept: 4 MiB in all, as the docstring states.
+    Larger tables are built per call and never kept."""
+    assert _OFFSET_CACHE_MAX_BYTES == 4 << 20
+    assert _OFFSET_CACHE_MAX_BYTES == _OFFSET_CACHE_ENTRIES * _OFFSET_CACHE_MAX_CELLS * 8
+    per_entry = _OFFSET_CACHE_MAX_BYTES // _OFFSET_CACHE_ENTRIES
+    _cached_offset_table.cache_clear()
+    largest = {}
+    for n in range(2, 17):
+        m = 0
+        while (2 * m + 3) ** (n - 1) * n <= _OFFSET_CACHE_MAX_CELLS:
+            m += 1
+        largest[n] = m
+        assert _offset_table(n, m).nbytes <= per_entry
+    for m in range(2 * _OFFSET_CACHE_ENTRIES):
+        _offset_table(2, m)
+    full = _cached_offset_table.cache_info()
+    assert full.currsize == _OFFSET_CACHE_ENTRIES
+    for n in range(2, 9):
+        big = _offset_table(n, largest[n] + 1)
+        assert big is not _offset_table(n, largest[n] + 1)
+        assert not big.flags.writeable
+    assert _cached_offset_table.cache_info() == full

@@ -259,6 +259,21 @@ def test_logm_rejects_bad_offsets():
         logm_unitary(np.eye(2), (1, 0, 0))
 
 
+@pytest.mark.parametrize("offsets", [(0.7, -0.7), (1.5, 0.0), (1.0, 0.0), (np.float64(1.0), 0)])
+def test_branch_generator_rejects_non_integral_offsets(offsets):
+    """Offsets used to be cast with dtype=int, so 0.7 became 0."""
+    lam, q = unitary_eigenphases(np.diag([np.exp(-0.3j), np.exp(0.3j)]))
+    with pytest.raises(ValueError, match="integers"):
+        branch_generator(lam, q, offsets)
+
+
+def test_branch_generator_takes_numpy_integers():
+    lam, q = unitary_eigenphases(np.diag([np.exp(-0.3j), np.exp(0.3j)]))
+    want = branch_generator(lam, q, (1, -1)).matrix
+    for offsets in (np.array([1, -1]), (np.int64(1), np.int8(-1)), [True, -1]):
+        assert branch_generator(lam, q, offsets).matrix.tobytes() == want.tobytes()
+
+
 def test_hermitian_operator_symmetrizes_small_drift():
     m = np.array([[1.0, 0.5 + 1e-13j], [0.5, -1.0]])
     h = HermitianOperator(m)

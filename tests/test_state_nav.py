@@ -613,6 +613,26 @@ def test_antipodal_optimum_is_the_zero_candidate():
     assert sol.tau_star == tau_of_phi(ctask, 0.0).tau
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.3, 0.5, 0.89])
+def test_antipodal_tie_goes_to_the_smaller_angle(eps):
+    """Antipodal states: tau = pi/omega, least where the canonical wind
+    points. Along -x that is pi, which the first half's golden search
+    reaches to within its tolerance with a voyage time equal to the pi
+    candidate's, so the tie goes to that smaller angle. Along +x it is the
+    0 candidate exactly."""
+    minus = make_task(np.pi, eps, [0.0, -1.0, 0.0])
+    ctask = canonicalize(minus)
+    np.testing.assert_allclose(ctask.wind.axis, [-1.0, 0.0, 0.0], atol=1e-15)
+    sol = optimize(minus)
+    assert np.pi - 1e-9 < sol.phi_star < np.pi
+    assert sol.tau_star == tau_of_phi(ctask, np.pi).tau
+
+    plus = make_task(np.pi, eps, [0.0, 1.0, 0.0])
+    sol = optimize(plus)
+    assert sol.phi_star == 0.0
+    assert sol.tau_star == tau_of_phi(canonicalize(plus), 0.0).tau
+
+
 def test_optimize_degenerate_task():
     psi = StateVector([0.6, 0.8])
     task = NavigationTask(psi_initial=psi, psi_final=psi, h0=wind_from_axis(0.5, [0, 0, 1.0]))
