@@ -10,7 +10,6 @@ strong, 4 degenerate task, 5 no-op gate.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -38,6 +37,7 @@ from .taskio import (
     load_task,
     matrix_pairs,
     parse_complex_matrix,
+    read_json_object,
 )
 
 ORACLE_TIME_TOL = 1e-6
@@ -182,19 +182,6 @@ def cmd_solve_gate(args):
     return EXIT_OK
 
 
-def _load_result(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise TaskFileError(f"cannot read result file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TaskFileError(f"result file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TaskFileError("result file must hold a JSON object")
-    return doc
-
-
 def _result_matrix(doc, key):
     if key not in doc:
         raise TaskFileError(f"result lacks {key}")
@@ -215,7 +202,7 @@ def _hermitize(m):
 
 
 def cmd_verify(args):
-    result = _load_result(args.result)
+    result = read_json_object(args.result, "result")
     loaded = load_task(args.task)
     mode = result.get("mode")
     if mode != loaded.mode:

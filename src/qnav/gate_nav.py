@@ -21,8 +21,7 @@ from .linalg import (
     branch_generator,
     hs_trace_product,
     require_unitary,
-    require_wind_below_budget,
-    split_trace,
+    split_background,
     unitary_eigenphases,
 )
 from .oracle import require_passed, solution_checks
@@ -51,9 +50,8 @@ __all__ = [
 class GateTask:
     """Gate-transport problem: reach u_final from u_initial despite h0.
 
-    Construction splits h0 once into (trace/dim, traceless part,
-    tr(traceless^2)); the budget check reads the last, and every solve
-    and survey on the task reads all three instead of splitting again.
+    Construction splits h0 once with linalg.split_background, budget
+    check included; every solve and survey on the task reads that split.
     """
 
     u_initial: np.ndarray
@@ -70,10 +68,7 @@ class GateTask:
             raise DimensionError(
                 f"background dim {self.h0.dim} does not match gate dim {ui.shape[0]}"
             )
-        trace_half, traceless = split_trace(self.h0)
-        strength = hs_trace_product(traceless, traceless)
-        require_wind_below_budget(strength)
-        object.__setattr__(self, "_h0_split", (trace_half, traceless, strength))
+        object.__setattr__(self, "_h0_split", split_background(self.h0))
         ui = ui.copy()
         uf = uf.copy()
         ui.setflags(write=False)

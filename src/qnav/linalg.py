@@ -40,6 +40,7 @@ __all__ = [
     "require_unitary",
     "split_trace",
     "require_wind_below_budget",
+    "split_background",
     "spectral_span",
 ]
 
@@ -224,6 +225,15 @@ def require_wind_below_budget(strength):
         raise WindTooStrongError(
             f"background trace norm {strength:.6g} reaches the unit control budget"
         )
+
+
+def split_background(h0):
+    """(trace/dim, traceless part, strength tr(traceless^2)) of a background
+    whose strength stays below the unit control budget; every task's one split."""
+    trace_part, traceless = split_trace(h0)
+    strength = hs_trace_product(traceless, traceless)
+    require_wind_below_budget(strength)
+    return trace_part, traceless, strength
 
 
 def spectral_span(h):

@@ -10,6 +10,7 @@ optimal total and control Hamiltonians back in lab coordinates.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,20 +24,15 @@ from .bloch import (
     build_canonical_frame,
 )
 from .errors import DimensionError
-from .linalg import (
-    HermitianOperator,
-    StateVector,
-    hs_trace_product,
-    pauli_compose,
-    require_wind_below_budget,
-    split_trace,
-)
+from .linalg import HermitianOperator, StateVector, pauli_compose, split_background
 from .minimize import golden_min
 from .oracle import CONFIRM_THRESHOLD as FIDELITY_THRESHOLD, require_passed, solution_checks
 
 CONSTRAINT_RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_PHI_TOL = 1e-10
+# largest sweep grid: its curve arrays and CSV rows stay in the tens of MB
+MAX_SWEEP_POINTS = 1 << 20
 # optimize's scan grid with 2 pi appended; the size is a power of two, so
 # index DEFAULT_GRID_POINTS // 2 holds pi exactly
 _SCAN_PHIS = 2.0 * np.pi * np.arange(DEFAULT_GRID_POINTS + 1) / DEFAULT_GRID_POINTS
@@ -55,6 +51,7 @@ __all__ = [
     "FIDELITY_THRESHOLD",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_PHI_TOL",
+    "MAX_SWEEP_POINTS",
     "NavigationTask",
     "CanonicalStateTask",
     "VoyageCurve",
@@ -75,11 +72,9 @@ __all__ = [
 class NavigationTask:
     """State-transport problem: carry psi_initial to psi_final despite h0.
 
-    For a qubit task, construction splits h0 once into (trace/2,
-    traceless part, tr(traceless^2)); the budget check reads the last,
-    and canonicalize reads the first two instead of splitting again.
-    Larger tasks keep None there: their budget check and split happen on
-    the reduced block.
+    A qubit task splits h0 once when built, with split_background, and
+    canonicalize reads that split. Larger tasks keep None there: the
+    qubit task that solve_embedded builds on their two-state block splits.
     """
 
     psi_initial: StateVector
@@ -96,14 +91,10 @@ class NavigationTask:
             raise DimensionError(
                 f"background dim {self.h0.dim} does not match state dim {self.psi_initial.dim}"
             )
-        # the budget competes with the wind inside the two-state block;
-        # for larger dims that block is only known after reduction, so
-        # the check moves there
+        # the budget competes with the wind inside the two-state block,
+        # which for larger dims is only known after reduction
         if self.h0.dim == 2:
-            trace_half, traceless = split_trace(self.h0)
-            strength = hs_trace_product(traceless, traceless)
-            require_wind_below_budget(strength)
-            object.__setattr__(self, "_h0_split", (trace_half, traceless, strength))
+            object.__setattr__(self, "_h0_split", split_background(self.h0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +104,6 @@ class CanonicalStateTask:
     theta: float
     frame: CanonicalFrame
     wind: WindSpec
-    h0: HermitianOperator
     h0_trace_half: float
 
 
@@ -153,7 +143,6 @@ def canonicalize(task):
         theta=frame.theta,
         frame=frame,
         wind=wind,
-        h0=task.h0,
         h0_trace_half=trace_half,
     )
 
@@ -308,9 +297,19 @@ def tau_of_phi(ctask, phi):
 
 
 def sweep(task, n_points=DEFAULT_GRID_POINTS):
-    """tau_of_phi's VoyageCurve of arrays on the grid phi_k = 2 pi k / n_points."""
-    if n_points < 16:
-        raise ValueError(f"n_points must be >= 16, got {n_points}")
+    """tau_of_phi's VoyageCurve of arrays on the grid phi_k = 2 pi k / n_points.
+
+    n_points is an integer from 16 to MAX_SWEEP_POINTS, else ValueError
+    before the grid is allocated.
+    """
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
+    if not 16 <= n_points <= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"n_points must be from 16 to MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {n_points}"
+        )
     ctask = canonicalize(task)
     return tau_of_phi(ctask, 2.0 * np.pi * np.arange(n_points) / n_points)
 
@@ -380,7 +379,7 @@ def _assemble(task, ctask, phi_star):
     rec = tau_of_phi(ctask, phi_star)
     axis_lab = ctask.frame.to_lab([np.cos(phi_star), np.sin(phi_star), 0.0])
     h_total = pauli_compose(ctask.h0_trace_half, 0.5 * rec.omega * axis_lab)
-    h_control = HermitianOperator(h_total.matrix - ctask.h0.matrix)
+    h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
     checks = solution_checks(
         h_total, h_control, task.h0, rec.tau, states=(task.psi_initial, task.psi_final)
     )

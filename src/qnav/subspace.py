@@ -31,14 +31,12 @@ class SubspaceReduction:
     """Orthonormal two-state basis and the background restricted to it.
 
     basis columns are e1 = psi_initial and e2, the Gram-Schmidt
-    remainder of psi_final. h0_block is the traceless part of the
-    restricted background; h0_trace_part is half the block trace, the
-    identity coefficient split off within the block.
+    remainder of psi_final. h0_block is the restricted background
+    basis^dagger h0 basis, trace included.
     """
 
     basis: np.ndarray
     h0_block: HermitianOperator
-    h0_trace_part: float
     invariance_residual: float
 
     def __post_init__(self):
@@ -70,13 +68,9 @@ def detect_and_reduce(task):
             f"background couples the two-state block to its complement "
             f"(residual {residual:.3e}); no reduction applies"
         )
-    block = basis.conj().T @ h0e
-    trace_part = float(np.real(block[0, 0] + block[1, 1])) / 2.0
-    traceless = HermitianOperator(block - trace_part * np.eye(2))
     return SubspaceReduction(
         basis=basis,
-        h0_block=traceless,
-        h0_trace_part=trace_part,
+        h0_block=HermitianOperator(basis.conj().T @ h0e),
         invariance_residual=residual,
     )
 
@@ -86,22 +80,20 @@ def solve_embedded(task):
 
     The total Hamiltonian is the embedded block solution plus the
     background restricted to the orthogonal complement, so the control
-    is supported on the block alone. For n = 2 this defers to the
-    direct solver outright.
+    is supported on the block alone. The qubit task on h0_block is the
+    solve's one background split and budget check. For n = 2 this defers
+    to the direct solver before any reduction.
     """
-    red = detect_and_reduce(task)
     n = task.psi_initial.dim
     if n == 2:
         return optimize(task)
 
+    red = detect_and_reduce(task)
     basis = red.basis
-    block_h0 = HermitianOperator(
-        red.h0_block.matrix + red.h0_trace_part * np.eye(2)
-    )
     sub_task = NavigationTask(
         psi_initial=StateVector(np.array([1.0, 0.0], dtype=complex)),
         psi_final=StateVector(basis.conj().T @ task.psi_final.amplitudes),
-        h0=block_h0,
+        h0=red.h0_block,
     )
     sol2 = optimize(sub_task)
 

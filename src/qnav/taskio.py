@@ -23,6 +23,7 @@ _FIXED_OPTIMIZER = {"grid_points": DEFAULT_GRID_POINTS, "tol": DEFAULT_PHI_TOL}
 
 __all__ = [
     "LoadedTask",
+    "read_json_object",
     "load_task",
     "complex_pairs",
     "matrix_pairs",
@@ -134,6 +135,21 @@ def _parse_states(doc, mode):
         raise TaskFileError(f"states: {exc}") from exc
 
 
+def read_json_object(path, kind):
+    """The JSON object in a file, else TaskFileError naming the file's kind,
+    "task" or "result"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise TaskFileError(f"cannot read {kind} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise TaskFileError(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TaskFileError(f"{kind} file must hold a JSON object")
+    return doc
+
+
 def load_task(path):
     """Parse and validate a task file.
 
@@ -141,15 +157,7 @@ def load_task(path):
     inadmissibility (wind at or above the budget, coinciding states)
     raises the corresponding solver error untouched.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise TaskFileError(f"cannot read task file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TaskFileError(f"task file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TaskFileError("task file must hold a JSON object")
+    doc = read_json_object(path, "task")
     mode = doc.get("mode")
     if mode not in MODES:
         raise TaskFileError(f"mode must be one of {MODES}, got {mode!r}")

@@ -11,20 +11,44 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
-def capped_arange(monkeypatch):
-    """np.arange refusing any length above the oracle's sample cap, so a test
-    of the cap fails instead of allocating the grid it should refuse."""
-    from qnav.oracle import MAX_ORACLE_SAMPLES
-
+def _refuse_arange_above(monkeypatch, cap, what):
+    """np.arange refusing any length above cap, so a test of the cap fails
+    instead of allocating the grid it should refuse."""
     real = np.arange
 
     def arange(*args, **kwargs):
-        if args and np.ndim(args[0]) == 0 and args[0] > MAX_ORACLE_SAMPLES:
-            raise AssertionError(f"np.arange({args[0]}) above the oracle sample cap")
+        if args and np.ndim(args[0]) == 0 and args[0] > cap:
+            raise AssertionError(f"np.arange({args[0]}) above the {what}")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "arange", arange)
+
+
+@pytest.fixture
+def capped_arange(monkeypatch):
+    """np.arange refusing any length above the oracle's sample cap."""
+    from qnav.oracle import MAX_ORACLE_SAMPLES
+
+    _refuse_arange_above(monkeypatch, MAX_ORACLE_SAMPLES, "oracle sample cap")
+
+
+@pytest.fixture
+def capped_sweep_arange(monkeypatch):
+    """np.arange refusing any length above sweep's point cap."""
+    from qnav.state_nav import MAX_SWEEP_POINTS
+
+    _refuse_arange_above(monkeypatch, MAX_SWEEP_POINTS, "sweep point cap")
+
+
+def record_calls(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call appends (qualified name, first argument) to calls."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((f"{module.__name__}.{name}", args[0] if args else None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def same_bits(a, b):

@@ -9,7 +9,7 @@ import pytest
 
 import qnav
 from qnav.cli import main
-from qnav.state_nav import canonicalize, rho_of_phi, sweep
+from qnav.state_nav import MAX_SWEEP_POINTS, canonicalize, rho_of_phi, sweep
 from qnav.taskio import complex_pairs, load_task, matrix_pairs
 
 from conftest import benchmark_axis, symmetric_pair
@@ -182,6 +182,15 @@ def test_sweep_rejects_bad_inputs(tmp_path, capsys):
     sub = write_json(tmp_path / "s.json", subspace_doc())
     code, _ = run(capsys, ["sweep", sub])
     assert code == 2
+
+
+@pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**12])
+def test_sweep_point_cap_exits_two(tmp_path, capsys, capped_sweep_arange, points):
+    task = write_json(tmp_path / "t.json", state_doc())
+    assert main(["sweep", task, "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}" in captured.err
 
 
 def test_solve_gate_closed_form(tmp_path, capsys):
@@ -478,6 +487,44 @@ def test_oracle_sample_cap_exits_two(tmp_path, capsys, capped_arange):
     code, out = run(capsys, ["solve-state", task, "--no-oracle"])
     assert code == 0
     assert json.loads(out)["oracle"] == {"enabled": False}
+
+
+def _os_error_text(path):
+    try:
+        open(path, encoding="utf-8")
+    except OSError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} opened")
+
+
+def _json_error_text(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parsed")
+
+
+@pytest.mark.parametrize("kind", ["task", "result"])
+@pytest.mark.parametrize("fault", ["missing", "not_json", "not_object"])
+def test_unreadable_json_files_exit_two(tmp_path, capsys, kind, fault):
+    """Task and result files share one reader; each of its three errors is
+    pinned byte for byte for both kinds of file."""
+    bad = tmp_path / f"{kind}.json"
+    if fault == "missing":
+        expected = f"cannot read {kind} file: {_os_error_text(bad)}"
+    elif fault == "not_json":
+        bad.write_text("{oops", encoding="utf-8")
+        expected = f"{kind} file is not valid JSON: {_json_error_text('{oops')}"
+    else:
+        bad.write_text("[1, 2]", encoding="utf-8")
+        expected = f"{kind} file must hold a JSON object"
+    task = write_json(tmp_path / "t.json", state_doc())
+    argv = ["solve-state", str(bad)] if kind == "task" else ["verify", str(bad), task]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected}\n"
 
 
 def test_verify_mode_mismatch(tmp_path, capsys):

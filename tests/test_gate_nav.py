@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qnav.gate_nav
+import qnav.linalg
 import qnav.state_nav
 from qnav import (
     DimensionError,
@@ -35,7 +36,13 @@ from qnav.gate_nav import (
 )
 from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_trace
 
-from conftest import haar_state, haar_unitary, random_traceless_hermitian, wind_from_axis
+from conftest import (
+    haar_state,
+    haar_unitary,
+    random_traceless_hermitian,
+    record_calls,
+    wind_from_axis,
+)
 
 
 def z_rotation(beta):
@@ -351,19 +358,10 @@ def test_branch_box_bounded_before_allocation(rng, monkeypatch, n, max_offset):
 
 
 def test_solves_read_the_split_of_construction(rng, monkeypatch):
-    """Tasks split their background when they are built; solving, surveying
-    and optimizing an already built task splits nothing again."""
+    """Tasks split their background when they are built, through
+    linalg.split_background; solving, surveying and optimizing an already
+    built task splits nothing again."""
     calls = []
-
-    def counted(module):
-        original = module.split_trace
-
-        def split_trace(h):
-            calls.append(module.__name__)
-            return original(h)
-
-        monkeypatch.setattr(module, "split_trace", split_trace)
-
     gate = GateTask(
         u_initial=haar_unitary(rng, 3),
         u_final=haar_unitary(rng, 3),
@@ -374,13 +372,23 @@ def test_solves_read_the_split_of_construction(rng, monkeypatch):
         psi_final=haar_state(rng),
         h0=HermitianOperator(0.3 * np.eye(2) + random_traceless_hermitian(rng, strength=0.5).matrix),
     )
-    counted(qnav.gate_nav)
-    counted(qnav.state_nav)
+    record_calls(monkeypatch, qnav.gate_nav, "split_background", calls)
+    record_calls(monkeypatch, qnav.state_nav, "split_background", calls)
+    record_calls(monkeypatch, qnav.linalg, "split_trace", calls)
     solve_gate(gate)
     solve_gate_min_branch(gate, 2)
     branch_survey(gate, 2)
     optimize(state)
     assert calls == []
+    # the counters are live: building a task is the split
+    GateTask(u_initial=gate.u_initial, u_final=gate.u_final, h0=gate.h0)
+    NavigationTask(psi_initial=state.psi_initial, psi_final=state.psi_final, h0=state.h0)
+    assert [name for name, _ in calls] == [
+        "qnav.gate_nav.split_background",
+        "qnav.linalg.split_trace",
+        "qnav.state_nav.split_background",
+        "qnav.linalg.split_trace",
+    ]
 
 
 def _zero_sum_rows(n, max_offset):

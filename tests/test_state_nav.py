@@ -22,6 +22,7 @@ from qnav import state_nav
 from qnav.bloch import WindSpec
 from qnav.state_nav import (
     DEFAULT_GRID_POINTS,
+    MAX_SWEEP_POINTS,
     _refine_objective,
     alpha_geometric,
     canonicalize,
@@ -261,6 +262,27 @@ def test_sweep_grid_placement():
 def test_sweep_rejects_small_grids():
     with pytest.raises(ValueError):
         sweep(benchmark_task(), 15)
+
+
+@pytest.mark.parametrize("n_points", [16.5, 64.0, "64", None])
+def test_sweep_rejects_non_integer_sizes(n_points):
+    """16.5 must not become a 17-point grid off the 2 pi k / n lattice."""
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        sweep(benchmark_task(), n_points)
+
+
+def test_sweep_takes_numpy_integer_sizes():
+    task = benchmark_task()
+    assert same_bits(sweep(task, np.int64(64)).tau, sweep(task, 64).tau)
+
+
+@pytest.mark.parametrize("n_points", [MAX_SWEEP_POINTS + 1, np.int64(10**12)])
+def test_sweep_refuses_grids_above_the_cap(capped_sweep_arange, n_points):
+    """Refused before the grid is allocated: capped_sweep_arange fails the
+    test on any np.arange above the cap."""
+    assert MAX_SWEEP_POINTS >= 10**6
+    with pytest.raises(ValueError, match=f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"):
+        sweep(benchmark_task(), n_points)
 
 
 def test_sweep_benchmark_argmin_location():

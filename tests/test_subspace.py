@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import qnav.linalg
+import qnav.state_nav
+import qnav.subspace
 from qnav import (
     DegenerateTaskError,
     HermitianOperator,
@@ -13,7 +16,14 @@ from qnav import (
     solve_embedded,
 )
 
-from conftest import haar_unitary, random_traceless_hermitian, symmetric_pair, wind_from_axis
+from conftest import (
+    haar_unitary,
+    random_traceless_hermitian,
+    record_calls,
+    same_bits,
+    symmetric_pair,
+    wind_from_axis,
+)
 
 
 def block_diag(a, b):
@@ -44,9 +54,23 @@ def test_reduction_recovers_plain_block():
     assert red.invariance_residual <= 1e-14
     assert np.max(np.abs(red.basis.conj().T @ red.basis - np.eye(2))) <= 1e-14
     assert np.allclose(red.basis[:, 0], task.psi_initial.amplitudes)
-    rebuilt = red.h0_block.matrix + red.h0_trace_part * np.eye(2)
-    assert np.max(np.abs(rebuilt - block)) <= 1e-14
-    assert abs(np.trace(red.h0_block.matrix)) <= 1e-14
+    # the whole restricted block, trace included: nothing is split off
+    assert np.max(np.abs(red.h0_block.matrix - block)) <= 1e-14
+    assert np.trace(red.h0_block.matrix).real == pytest.approx(0.2, abs=1e-14)
+
+
+def test_embedded_solve_splits_the_block_once(monkeypatch):
+    """An n = 3 solve splits one background: the restricted block, handed
+    whole to the qubit task, whose construction is the split."""
+    block = wind_from_axis(0.6, [0.3, 0.2, 0.9]).matrix + 0.4 * np.eye(2)
+    task = embedded_task(3, block, np.array([[1.7]]))
+    red = detect_and_reduce(task)
+    calls = []
+    record_calls(monkeypatch, qnav.state_nav, "split_background", calls)
+    record_calls(monkeypatch, qnav.linalg, "split_trace", calls)
+    solve_embedded(task)
+    assert [name for name, _ in calls] == ["qnav.state_nav.split_background", "qnav.linalg.split_trace"]
+    assert all(same_bits(arg.matrix, red.h0_block.matrix) for _, arg in calls)
 
 
 def test_embedded_solution_structure():
@@ -75,10 +99,13 @@ def test_embedded_solution_structure():
     assert sol.phi_star == pytest.approx(ref.phi_star, abs=1e-8)
 
 
-def test_qubit_task_defers_to_direct_solver():
+def test_qubit_task_defers_to_direct_solver(monkeypatch):
     psi_i, psi_f = symmetric_pair(1.1)
     task = NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=wind_from_axis(0.4, [0.2, 0.9, 0.1]))
+    reductions = []
+    record_calls(monkeypatch, qnav.subspace, "detect_and_reduce", reductions)
     via_embed = solve_embedded(task)
+    assert reductions == []
     direct = optimize(task)
     assert via_embed.tau_star == direct.tau_star
     assert via_embed.phi_star == direct.phi_star
