@@ -9,6 +9,7 @@ used throughout instead of Pade-style schemes.
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _as_square_complex(m, what="matrix"):
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
     if a.shape[0] < 2:
         raise DimensionError(f"{what} must have dim >= 2, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -63,13 +64,17 @@ class HermitianOperator:
     Construction averages the input with its adjoint and rejects inputs
     whose anti-Hermitian drift exceeds HERMITIAN_DRIFT_TOL, so roundoff
     from upstream arithmetic is absorbed but genuine errors are not.
+
+    The operator decomposes itself at most once: _eigh holds the read-only
+    np.linalg.eigh arrays (w, v) of the matrix from their first use, so
+    expm_unitary and the oracle's amplitude table share one decomposition.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         a = _as_square_complex(self.matrix, "Hermitian operator")
-        drift = np.max(np.abs(a - a.conj().T))
+        drift = np.abs(a - a.conj().T).max()
         if drift > HERMITIAN_DRIFT_TOL:
             raise NotHermitianError(
                 f"anti-Hermitian drift {drift:.3e} exceeds {HERMITIAN_DRIFT_TOL:.0e}"
@@ -81,6 +86,13 @@ class HermitianOperator:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def _eigh(self):
+        w, v = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +161,10 @@ def hs_trace_product(a, b):
 
 
 def expm_unitary(h, t):
-    """Unitary e^{-i h t} via eigendecomposition of the Hermitian generator."""
+    """Unitary e^{-i h t} via the eigendecomposition h._eigh of the Hermitian generator."""
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = h._eigh
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
@@ -237,6 +249,11 @@ def split_background(h0):
 
 
 def spectral_span(h):
-    """Spread max - min of the eigenvalues of a Hermitian operator."""
+    """Spread max - min of the eigenvalues of a Hermitian operator.
+
+    Computed with its own np.linalg.eigvalsh rather than read off h._eigh:
+    the two differ in the last bits for some operators, and the spread sets
+    the oracle's default step, so sharing would move the oracle's grid.
+    """
     w = np.linalg.eigvalsh(h.matrix)
     return float(w[-1] - w[0])

@@ -7,6 +7,7 @@ here touches the trigonometric navigator formulas; this module exists
 to check them from the outside. The solvers and `verify` run solution_checks.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,20 +75,23 @@ def _default_steps(h, t_max, dt):
 
 
 def _amplitude_table(h, psi_i, psi_f):
-    """Eigenbasis weights so that amp(t) = sum table * exp(-i w t)."""
-    w, v = np.linalg.eigh(h.matrix)
+    """Eigenbasis weights so that amp(t) = sum table * exp(-i w t), from h._eigh."""
+    w, v = h._eigh
     c_i = v.conj().T @ psi_i.amplitudes
     c_f = v.conj().T @ psi_f.amplitudes
     return w, np.conj(c_f) * c_i
 
 
 def _curve(h, psi_i, psi_f, t_max, dt):
-    """Grid t, sampled fidelity f and the (w, table) of one decomposition of h.
+    """Grid t, sampled fidelity f and the (w, table) of h's one decomposition.
 
     The amplitude is summed eigencomponent by eigencomponent, each term an
     elementwise product of arrays of len(t), so no BLAS matrix-vector call
-    (and none of its worker threads) is involved. A grid of more than
-    MAX_ORACLE_SAMPLES points raises ValueError before anything is allocated.
+    (and none of its worker threads) is involved. Each e^{-i w_k t} is
+    written as np.cos and -np.sin into the real and imaginary views of one
+    complex buffer: the bits of np.exp(-1j * (t * w_k)) without the complex
+    exponential. A grid of more than MAX_ORACLE_SAMPLES points raises
+    ValueError before anything is allocated.
     """
     t_max, dt = _default_steps(h, t_max, dt)
     if not dt > 0.0 or not t_max > 0.0:
@@ -102,9 +106,13 @@ def _curve(h, psi_i, psi_f, t_max, dt):
     n = int(math.floor(steps)) + 1
     t = dt * np.arange(n)
     w, table = _amplitude_table(h, psi_i, psi_f)
-    amp = table[0] * np.exp(-1j * (t * w[0]))
-    for wk, ck in zip(w[1:], table[1:]):
-        amp += ck * np.exp(-1j * (t * wk))
+    phase = np.empty(n, dtype=complex)
+    amp = np.zeros(n, dtype=complex)
+    for wk, ck in zip(w, table):
+        wt = t * wk
+        np.cos(wt, out=phase.real)
+        np.negative(np.sin(wt, out=wt), out=phase.imag)
+        amp += ck * phase
     return t, np.abs(amp) ** 2, w, table
 
 
@@ -119,12 +127,19 @@ def fidelity_curve(h, psi_i, psi_f, t_max=None, dt=None):
 
 
 def _refine_peak(w, table, lo, hi):
-    """Golden-section maximum of the fidelity on [lo, hi]."""
-    minus_iw = -1j * w
+    """Golden-section maximum of the fidelity on [lo, hi].
+
+    Each step writes cmath.exp(m * t) for every rate m of -1j * w into one
+    preallocated buffer and sums it against table with np.dot: the bits of
+    np.dot(table, np.exp(-1j * w * t)) without building two arrays per step.
+    """
+    rates = (-1j * w).tolist()
+    phases = np.empty(len(rates), dtype=complex)
 
     def neg_f(t):
-        amp = np.dot(table, np.exp(minus_iw * t))
-        return -abs(amp) ** 2
+        for k, m in enumerate(rates):
+            phases[k] = cmath.exp(m * t)
+        return -abs(np.dot(table, phases)) ** 2
 
     span = hi - lo
     xtol = REFINE_XTOL if span > REFINE_XTOL else span / 4.0

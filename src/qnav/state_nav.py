@@ -147,13 +147,21 @@ def canonicalize(task):
     )
 
 
-def _omega(wind, c, s):
-    """omega_of_phi from c = cos(phi) and s = sin(phi)."""
+def _axis_xy(wind):
+    """In-plane components (x, y) of the canonical wind axis; (0.0, 0.0) without wind.
+
+    The wind's projection on the control axis at phi is p = x cos(phi) +
+    y sin(phi). With no wind eps = 0, so p = 0 gives omega = sqrt(2) and the
+    residual omega^2 - 2 bit for bit, and no formula needs a branch.
+    """
     if wind.is_zero:
-        return np.full(np.shape(c), np.sqrt(2.0)) if np.ndim(c) else np.sqrt(2.0)
+        return 0.0, 0.0
+    return float(wind.axis[0]), float(wind.axis[1])
+
+
+def _omega(wind, p):
+    """omega_of_phi from the projection p = x cos(phi) + y sin(phi)."""
     eps = wind.epsilon
-    x, y, _ = wind.axis
-    p = x * c + y * s
     root = np.sqrt(2.0 * eps * p * p + 2.0 * (1.0 - eps))
     return root + np.sqrt(2.0 * eps) * p
 
@@ -167,7 +175,8 @@ def omega_of_phi(wind, phi):
     one root is positive. Accepts scalar or array phi.
     """
     phi = np.asarray(phi, dtype=float)
-    return _omega(wind, np.cos(phi), np.sin(phi))
+    x, y = _axis_xy(wind)
+    return _omega(wind, x * np.cos(phi) + y * np.sin(phi))
 
 
 def rho_of_phi(theta, phi):
@@ -227,9 +236,9 @@ def _alpha(theta, c, s):
     alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
 
     check = np.abs(s) > _ORIENTATION_CHECK_MIN_SIN
-    if np.any(check):
+    if check.any():
         geo = _alpha_geometric(theta, c, s)
-        err = np.max(np.abs(np.where(check, alpha - geo, 0.0)))
+        err = np.abs(np.where(check, alpha - geo, 0.0)).max()
         if err > _ORIENTATION_CHECK_TOL:
             raise ArithmeticError(
                 f"orientation branch disagrees with vector geometry by {err:.3e}"
@@ -251,26 +260,28 @@ def alpha_of_phi(theta, phi):
     return alpha if alpha.ndim else float(alpha)
 
 
-def _omega_residual(wind, c, s, omega):
-    """Residual of the full-throttle quadratic at omega, for c = cos(phi), s = sin(phi)."""
-    if wind.is_zero:
-        return omega * omega - 2.0
-    x, y, _ = wind.axis
-    p = x * c + y * s
-    return (
+def _check_omega_residual(wind, p, omega):
+    """Check the full-throttle quadratic at omega for the projection p.
+
+    Raises ArithmeticError when its largest residual exceeds
+    CONSTRAINT_RESIDUAL_TOL; p and omega are floats or arrays of one shape.
+    """
+    resid = np.abs(
         omega * omega
         - 2.0 * np.sqrt(2.0 * wind.epsilon) * p * omega
         - 2.0 * (1.0 - wind.epsilon)
-    )
+    ).max()
+    if resid > CONSTRAINT_RESIDUAL_TOL:
+        raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
 
 
 def _voyage_curve(ctask, phi, c, s):
     """tau_of_phi's checked curve of arrays at phi, given c = cos(phi) and s = sin(phi)."""
-    omega = _omega(ctask.wind, c, s)
+    x, y = _axis_xy(ctask.wind)
+    p = x * c + y * s
+    omega = _omega(ctask.wind, p)
     alpha = _alpha(ctask.theta, c, s)
-    resid = np.max(np.abs(_omega_residual(ctask.wind, c, s, omega)))
-    if resid > CONSTRAINT_RESIDUAL_TOL:
-        raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
+    _check_omega_residual(ctask.wind, p, omega)
     return VoyageCurve(phi=phi, omega=omega, alpha=alpha, tau=alpha / omega)
 
 
@@ -328,66 +339,90 @@ def principal_voyage_time(ctask, phis):
     return _principal_angle(ctask.theta, np.sin(phis)) / omega
 
 
-def _refine_objective(ctask, seen):
-    """Scalar tau(phi) for golden refinement, appending each phi to seen.
+def _curve_point(ctask):
+    """Unchecked scalar curve point: phi -> (omega, tau) at a float angle.
 
     The per-task constants are computed once; each call then repeats the
-    float64 operations of alpha_of_phi(theta, phi) / omega_of_phi(wind, phi)
-    in the same order, so the two agree bit for bit. The orientation
-    cross-check is left to the caller, which runs it on all of seen at once.
+    float64 operations of omega_of_phi(wind, phi) and alpha_of_phi(theta,
+    phi) in the same order, so omega and tau = alpha/omega equal those
+    public functions, and tau_of_phi, bit for bit. math.sin, math.cos and
+    math.sqrt stand in for their numpy ufuncs, which they match bit for bit
+    (pinned by the tests); arccos and tan stay numpy's, called on floats.
+    Neither the orientation cross-check nor the residual check runs here.
     """
     eps = ctask.wind.epsilon
-    x, y = float(ctask.wind.axis[0]), float(ctask.wind.axis[1])
+    x, y = _axis_xy(ctask.wind)
     two_eps = 2.0 * eps
     slack = 2.0 * (1.0 - eps)
-    gain = float(np.sqrt(2.0 * eps))
+    gain = math.sqrt(two_eps)
     antipodal = ctask.theta >= np.pi - DEGENERATE_THETA_TOL
     t2 = float(np.tan(ctask.theta / 2.0) ** 2)
     two_pi = 2.0 * np.pi
 
-    def tau(phi):
-        seen.append(phi)
-        s = float(np.sin(phi))
-        p = x * float(np.cos(phi)) + y * s
+    def point(phi):
+        s = math.sin(phi)
+        p = x * math.cos(phi) + y * s
         omega = math.sqrt(two_eps * p * p + slack) + gain * p
         if antipodal:
-            return np.pi / omega
-        g = (s * s - t2) / (s * s + t2)
-        base = float(np.arccos(min(max(g, -1.0), 1.0)))
+            return omega, np.pi / omega
+        s2 = s * s
+        g = (s2 - t2) / (s2 + t2)
+        base = float(np.arccos(-1.0 if g < -1.0 else 1.0 if g > 1.0 else g))
         alpha = base if s > 0.0 else two_pi - base if s < 0.0 else np.pi
-        return alpha / omega
+        return omega, alpha / omega
+
+    return point
+
+
+def _refine_objective(ctask, seen):
+    """Scalar tau(phi) of _curve_point for golden refinement, appending each phi to seen.
+
+    The orientation cross-check is left to the caller, which runs it on all
+    of seen at once.
+    """
+    point = _curve_point(ctask)
+
+    def tau(phi):
+        seen.append(phi)
+        return point(phi)[1]
 
     return tau
 
 
-def _refine_half(ctask, tau, start, stop, seen):
-    """Golden refinement around the grid minimum among scan indices [start, stop).
+def _refine_half(objective, tau, start, stop):
+    """Golden refinement of objective around the grid minimum among scan indices [start, stop).
 
     The minimum's two grid neighbours bracket the search; _SCAN_PHIS carries
     2 pi after the last grid angle, so both exist for every index of either
-    open half. Every angle the search evaluates is appended to seen, for the
-    caller to cross-check against the vector geometry.
+    open half. The result is a point the search evaluated.
     """
     best = start + np.argmin(tau[start:stop])
-    return golden_min(
-        _refine_objective(ctask, seen), _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL
-    )
+    return golden_min(objective, _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL)
 
 
 def _assemble(task, ctask, phi_star):
-    """Lab-frame solution at the chosen control angle, fully verified."""
-    rec = tau_of_phi(ctask, phi_star)
-    axis_lab = ctask.frame.to_lab([np.cos(phi_star), np.sin(phi_star), 0.0])
-    h_total = pauli_compose(ctask.h0_trace_half, 0.5 * rec.omega * axis_lab)
+    """Lab-frame solution at the chosen control angle, fully verified.
+
+    omega and tau come from _curve_point, the scalar point the refinement
+    evaluates, and the full-throttle residual is checked at phi_star. The
+    orientation check is not repeated: optimize has run it on every angle
+    it can return. solution_checks then verifies the assembled operators.
+    """
+    omega, tau = _curve_point(ctask)(phi_star)
+    c, s = math.cos(phi_star), math.sin(phi_star)
+    x, y = _axis_xy(ctask.wind)
+    _check_omega_residual(ctask.wind, x * c + y * s, omega)
+    axis_lab = ctask.frame.to_lab([c, s, 0.0])
+    h_total = pauli_compose(ctask.h0_trace_half, 0.5 * omega * axis_lab)
     h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
     checks = solution_checks(
-        h_total, h_control, task.h0, rec.tau, states=(task.psi_initial, task.psi_final)
+        h_total, h_control, task.h0, tau, states=(task.psi_initial, task.psi_final)
     )
     require_passed(checks, "solution")
     return NavigationSolution(
         phi_star=float(phi_star),
-        omega_star=rec.omega,
-        tau_star=rec.tau,
+        omega_star=omega,
+        tau_star=tau,
         theta=ctask.theta,
         h_total=h_total,
         h_control=h_control,
@@ -407,28 +442,33 @@ def optimize(task):
     scanned voyage times are the boundary candidates. Equal voyage times
     go to the smaller angle: an optimum at pi exactly is returned as the
     first half's refined angle just below pi when its time ties the pi
-    candidate's.
+    candidate's. Without wind the geodesic angle pi/2 is taken, unscanned.
 
     The scan is tau_of_phi's checked curve on the grid, fed the fixed
-    _SCAN_COS and _SCAN_SIN tables instead of fresh trig. The orientation
-    check covers every grid angle within the scan, and every angle either
-    refinement evaluated in one alpha_of_phi batch after both searches.
+    _SCAN_COS and _SCAN_SIN tables instead of fresh trig. Every angle that
+    can be returned goes through the orientation check before it is
+    assembled: the boundary candidates 0 and pi within the scan, which
+    checks every grid angle (and, as everywhere, exempts |sin phi| below
+    1e-6), and every angle either refinement evaluated, the returned one
+    included, or else pi/2 without wind, in one alpha_of_phi batch.
     """
     ctask = canonicalize(task)
     if ctask.wind.is_zero:
         # no wind: full throttle along the geodesic, no scan needed
-        return _assemble(task, ctask, np.pi / 2.0)
-
-    tau = _voyage_curve(ctask, _SCAN_PHIS[:-1], _SCAN_COS, _SCAN_SIN).tau
-    half = DEFAULT_GRID_POINTS // 2
-    seen = []
-    candidates = [
-        _refine_half(ctask, tau, 1, half, seen),
-        _refine_half(ctask, tau, half + 1, DEFAULT_GRID_POINTS, seen),
-        (0.0, tau[0]),
-        (np.pi, tau[half]),
-    ]
+        phi_star = np.pi / 2.0
+        seen = [phi_star]
+    else:
+        tau = _voyage_curve(ctask, _SCAN_PHIS[:-1], _SCAN_COS, _SCAN_SIN).tau
+        half = DEFAULT_GRID_POINTS // 2
+        seen = []
+        objective = _refine_objective(ctask, seen)
+        candidates = [
+            _refine_half(objective, tau, 1, half),
+            _refine_half(objective, tau, half + 1, DEFAULT_GRID_POINTS),
+            (0.0, tau[0]),
+            (np.pi, tau[half]),
+        ]
+        tau_best = min(c[1] for c in candidates)
+        phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     alpha_of_phi(ctask.theta, np.asarray(seen))
-    tau_best = min(c[1] for c in candidates)
-    phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     return _assemble(task, ctask, phi_star)

@@ -330,6 +330,22 @@ def test_min_branch_decomposes_once(rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_min_branch_and_mismatch_share_one_decomposition(rng, monkeypatch):
+    """The solve's gate check and a second gate_mismatch of its h_total read
+    one eigh: the operator keeps its decomposition."""
+    task = GateTask(
+        u_initial=haar_unitary(rng, 3),
+        u_final=haar_unitary(rng, 3),
+        h0=random_traceless_hermitian(rng, 3, strength=0.4),
+    )
+    calls = []
+    record_calls(monkeypatch, np.linalg, "eigh", calls)
+    sol = solve_gate_min_branch(task, 2)
+    again = gate_mismatch(sol.h_total, task.u_initial, task.u_final, sol.voyage_time, sol.global_phase)
+    assert again == sol.gate_residual
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n, max_offset", [(8, 50), (11, np.int64(50))])
 def test_branch_box_bounded_before_allocation(rng, monkeypatch, n, max_offset):
     """(2*50+1)^(n-1) offset vectors would not fit in memory; the search

@@ -20,11 +20,12 @@ from qnav.linalg import (
     SIGMA_Z,
     UNITARY_TOL,
     branch_generator,
+    spectral_span,
     split_trace,
     unitary_eigenphases,
 )
 
-from conftest import haar_unitary, random_traceless_hermitian
+from conftest import haar_unitary, random_traceless_hermitian, record_calls
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -313,3 +314,36 @@ def test_split_trace(rng):
     assert np.trace(rest.matrix) == pytest.approx(0.0, abs=1e-15)
     back = rest.matrix + a0 * np.eye(3)
     assert np.allclose(back, h.matrix, atol=1e-15)
+
+
+def test_operator_decomposes_once_read_only(rng, monkeypatch):
+    """An operator's eigh is taken on first use, kept, and cannot be written:
+    every expm_unitary of it reads the one decomposition."""
+    h = random_traceless_hermitian(rng, 3, strength=0.7)
+    want_w, want_v = np.linalg.eigh(h.matrix)
+    calls = []
+    record_calls(monkeypatch, np.linalg, "eigh", calls)
+    first = expm_unitary(h, 0.3)
+    second = expm_unitary(h, 0.3)
+    assert first.tobytes() == second.tobytes()
+    assert len(calls) == 1
+    w, v = h._eigh
+    assert h._eigh[0] is w and h._eigh[1] is v
+    assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+    for a in (w, v):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert len(calls) == 1
+
+
+def test_spectral_span_keeps_its_own_eigvalsh(rng, monkeypatch):
+    """The spread sets the oracle's default step from eigvalsh's values, which
+    can differ from eigh's in the last bits, so it never reads the cache."""
+    h = random_traceless_hermitian(rng, 4, strength=0.9)
+    expm_unitary(h, 1.0)
+    w = np.linalg.eigvalsh(h.matrix)
+    calls = []
+    record_calls(monkeypatch, np.linalg, "eigvalsh", calls)
+    assert spectral_span(h) == float(w[-1] - w[0])
+    assert len(calls) == 1

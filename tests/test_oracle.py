@@ -1,3 +1,4 @@
+import cmath
 import inspect
 
 import numpy as np
@@ -30,6 +31,8 @@ from conftest import (
     make_task,
     random_traceless_hermitian,
     random_unit_axis,
+    record_calls,
+    same_bits,
     wind_from_axis,
 )
 
@@ -229,6 +232,51 @@ def test_refine_peak_is_bitwise_the_per_step_product(rng, monkeypatch, n):
     assert [objective(s) for s in probes] == [neg_f(s) for s in probes]
     t_ref, neg_ref = real(neg_f, lo, hi, xtol)
     assert (t_peak, f_peak) == (float(t_ref), float(-neg_ref))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curve_samples_are_the_complex_exponential_sum_bitwise(rng, n):
+    """_curve writes cos and -sin into one complex buffer per eigencomponent;
+    its samples must be those of the complex-exponential sum
+    table[0] e^{-i w_0 t} + table[1] e^{-i w_1 t} + ... byte for byte, on
+    the default grid and on one reaching far out in w t."""
+    for t_max in (None, 100.0):
+        h = random_traceless_hermitian(rng, n, strength=rng.uniform(0.1, 3.0))
+        h = HermitianOperator(h.matrix + rng.uniform(-2.0, 2.0) * np.eye(n))
+        psi_i, psi_f = haar_state(rng, n), haar_state(rng, n)
+        t, f, w, table = qnav.oracle._curve(h, psi_i, psi_f, t_max, None)
+        amp = table[0] * np.exp(-1j * (t * w[0]))
+        for wk, ck in zip(w[1:], table[1:]):
+            amp += ck * np.exp(-1j * (t * wk))
+        assert t.size > 1000
+        assert same_bits(f, np.abs(amp) ** 2)
+
+
+def test_cmath_exp_is_numpy_exp_bitwise(rng):
+    """The peak objective takes cmath.exp(m * t) for each rate m of -1j * w
+    where numpy took np.exp(-1j * w * t): the two must agree to the last bit
+    on this platform's libm and numpy."""
+    w = np.concatenate([rng.uniform(-5.0, 5.0, size=200), [0.0, -0.0]])
+    rates = (-1j * w).tolist()
+    for t in np.concatenate([rng.uniform(0.0, 200.0, size=250), [0.0]]).tolist():
+        assert same_bits(np.array([cmath.exp(m * t) for m in rates]), np.exp(-1j * w * t)), t
+
+
+def test_checks_and_passage_share_one_decomposition(monkeypatch):
+    """solution_checks and first_passage read one eigh of h_total: the
+    fidelity check's propagator and the oracle's amplitude table."""
+    sol = optimize(benchmark_task())
+    task = benchmark_task()
+    h_total = HermitianOperator(sol.h_total.matrix)
+    calls = []
+    record_calls(monkeypatch, np.linalg, "eigh", calls)
+    checks = qnav.oracle.solution_checks(
+        h_total, sol.h_control, task.h0, sol.tau_star, states=(task.psi_initial, task.psi_final)
+    )
+    res = first_passage(h_total, task.psi_initial, task.psi_final)
+    assert checks["fidelity"].value == sol.fidelity_check
+    assert res.reached
+    assert len(calls) == 1
 
 
 def test_first_passage_skips_the_span_when_both_steps_are_given(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from qnav import (
     expm_unitary,
     omega_of_phi,
     optimize,
+    pauli_compose,
     pauli_decompose,
     rho_of_phi,
     sweep,
@@ -546,6 +549,72 @@ def test_optimize_checks_both_refinements_in_one_batch(monkeypatch):
     assert call["phi"].tolist() == searches[0] + searches[1]
     assert np.all(np.array(searches[0]) <= np.pi)
     assert np.all(np.array(searches[1]) >= np.pi)
+
+
+def no_wind_task(theta):
+    psi_i, psi_f = symmetric_pair(theta)
+    return NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=HermitianOperator(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("kind", ["refined", "no_wind"])
+def test_returned_angle_is_orientation_checked(monkeypatch, kind):
+    """Shift the vector geometry at the returned angle only: a shift below
+    the tolerance changes nothing, one above it must raise, both for a
+    refined optimum and for the unscanned pi/2 of a windless task. So the
+    assembly at that angle needs no orientation check of its own."""
+    task = benchmark_task() if kind == "refined" else no_wind_task(1.1)
+    phi_star = optimize(task).phi_star
+    if kind == "refined":
+        assert phi_star not in state_nav._SCAN_PHIS
+    else:
+        assert phi_star == np.pi / 2.0
+    real = state_nav._alpha_geometric
+    c_star, s_star = np.cos(phi_star), np.sin(phi_star)
+
+    def shifted(shift):
+        def geo(theta, c, s):
+            return real(theta, c, s) + np.where((c == c_star) & (s == s_star), shift, 0.0)
+
+        return geo
+
+    monkeypatch.setattr(state_nav, "_alpha_geometric", shifted(1e-10))
+    assert optimize(task).phi_star == phi_star
+    monkeypatch.setattr(state_nav, "_alpha_geometric", shifted(1e-6))
+    with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
+        optimize(task)
+
+
+def test_assembled_optimum_is_tau_of_phi_bitwise(rng):
+    """The solution's omega and tau are tau_of_phi's at phi_star, and h_total
+    is composed from numpy's cos and sin of it, to the last bit: with wind
+    (refined and boundary optima) and without."""
+    tasks = [benchmark_task(), no_wind_task(1.1), no_wind_task(np.pi / 2.0)]
+    tasks += [make_task(np.pi, 0.5, [0.0, 1.0, 0.0]), make_task(np.pi, 0.5, [0.0, -1.0, 0.0])]
+    tasks += [make_task(rng.uniform(0.1, 3.0), rng.uniform(0.01, 0.9), random_unit_axis(rng)) for _ in range(8)]
+    for task in tasks:
+        sol = optimize(task)
+        ctask = canonicalize(task)
+        rec = tau_of_phi(ctask, sol.phi_star)
+        assert (sol.omega_star, sol.tau_star) == (rec.omega, rec.alpha / rec.omega)
+        axis_lab = ctask.frame.to_lab([np.cos(sol.phi_star), np.sin(sol.phi_star), 0.0])
+        h_total = pauli_compose(ctask.h0_trace_half, 0.5 * rec.omega * axis_lab)
+        assert same_bits(sol.h_total.matrix, h_total.matrix)
+    assert optimize(no_wind_task(1.1)).omega_star == np.sqrt(2.0)
+
+
+def test_math_functions_are_numpy_bitwise(rng):
+    """The scalar curve point and the assembly call math.sin, math.cos and
+    math.sqrt where the array formulas call numpy; the two must agree to the
+    last bit on this platform's libm and numpy, or the state solve moves."""
+    near = rng.uniform(0.0, 1e-6, size=2000)
+    phis = np.concatenate(
+        [rng.uniform(0.0, 2.0 * np.pi, size=50_000), near, np.pi - near, np.pi + near, 2.0 * np.pi - near]
+    )
+    phis = np.concatenate([phis, state_nav._SCAN_PHIS])
+    for math_fn, np_fn in ((math.sin, np.sin), (math.cos, np.cos)):
+        assert np.array_equal(np.array([math_fn(p) for p in phis.tolist()]), np_fn(phis)), np_fn
+    roots = np.concatenate([rng.uniform(0.0, 4.0, size=50_000), rng.uniform(0.0, 1e-12, size=1000)])
+    assert np.array_equal(np.array([math.sqrt(r) for r in roots.tolist()]), np.sqrt(roots))
 
 
 def test_scan_tables_are_the_grid_trig():
