@@ -28,6 +28,8 @@ from .oracle import require_passed, solution_checks
 
 # tr(X^2) at or below this is treated as the identity relation
 NOOP_TRACE_TOL = 1e-20
+# angle(det) of the gate relation within this of -pi is roundoff of det = -1
+_DET_ANGLE_TOL = 1e-9
 # largest offset box (2*max_offset + 1)^(n - 1) a branch search may allocate
 MAX_BRANCH_CANDIDATES = 1 << 20
 # offset tables kept for reuse: at most this many, each of a box whose
@@ -105,13 +107,19 @@ def _canonical_phases(task):
     """Eigenphases/vectors of the SU-projected gate relation, zero-sum branch.
 
     Returns (lam, q, su_phase) with sum(lam) = 0 up to roundoff. The
-    projection removes angle(det)/n from every eigenphase; the zeroing
+    projection removes angle(det)/n from every eigenphase, with angle(det)
+    on (-pi + _DET_ANGLE_TOL, pi + _DET_ANGLE_TOL]; the zeroing
     then shifts whole multiples of 2 pi off the largest (or onto the
     smallest) phases so the baseline is the same for every caller.
     """
     rel = task.u_final @ task.u_initial.conj().T
     n = task.dim
-    su_phase = float(np.angle(np.linalg.det(rel))) / n
+    det_angle = float(np.angle(np.linalg.det(rel)))
+    if det_angle <= _DET_ANGLE_TOL - math.pi:
+        # det = -1 up to roundoff: the sign of its imaginary part must not
+        # pick the coset, so the angle is read on the +pi side
+        det_angle += 2.0 * math.pi
+    su_phase = det_angle / n
     lam, q = unitary_eigenphases(rel * np.exp(-1j * su_phase))
     wraps = int(round(float(np.sum(lam)) / (2.0 * math.pi)))
     lam = lam.copy()

@@ -10,24 +10,31 @@ def golden_min(f, lo, hi, xtol):
 
     Assumes f is unimodal on the bracket. Returns (x, f(x)) with the
     bracket narrowed below xtol. Endpoints are included as candidates
-    so a boundary minimum is not missed.
+    so a boundary minimum is not missed. f is called once per point: an
+    end that moved onto an interior point keeps that point's value, so
+    only an end still at lo or hi is evaluated at the close.
     """
     if not hi > lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     if not xtol > 0.0:
         raise ValueError("xtol must be positive")
     a, b = float(lo), float(hi)
+    fa = fb = None
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > xtol:
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - INV_PHI * (b - a)
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + INV_PHI * (b - a)
             fd = f(d)
-    best = min(((fc, c), (fd, d), (f(a), a), (f(b), b)))
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
+    best = min(((fc, c), (fd, d), (fa, a), (fb, b)))
     return best[1], best[0]

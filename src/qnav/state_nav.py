@@ -46,6 +46,15 @@ del _table
 # in rounding structure, so the cross-check is skipped
 _ORIENTATION_CHECK_MIN_SIN = 1e-6
 _ORIENTATION_CHECK_TOL = 1e-9
+# optimize skips a half whose lower bound on tau exceeds the best voyage
+# time found by more than this relative margin. The computed curve undercuts
+# the closed-form bound by a few ulp at most (p at psi can round above
+# hypot(x, y)); near eps -> 1 the computed omega errs by up to 1.7e-4
+# relative for p < 0, where it lies far below omega at the bound's p >= 0.
+_PRUNE_MARGIN = 1e-3
+# the arccos rule's g carries a few ulp, which can lower the computed alpha
+# below theta by up to about this over sin(theta) (see _half_bounds)
+_ALPHA_ROUNDING = 2e-15
 
 __all__ = [
     "FIDELITY_THRESHOLD",
@@ -389,15 +398,50 @@ def _refine_objective(ctask, seen):
     return tau
 
 
-def _refine_half(objective, tau, start, stop):
-    """Golden refinement of objective around the grid minimum among scan indices [start, stop).
+def _refine_half(objective, tau, start):
+    """Golden refinement of objective around the grid minimum inside one open half.
 
-    The minimum's two grid neighbours bracket the search; _SCAN_PHIS carries
-    2 pi after the last grid angle, so both exist for every index of either
-    open half. The result is a point the search evaluated.
+    tau is the scan of that half from scan index start, ends included: the
+    grid minimum is sought among its interior points tau[1:N/2], and its two
+    grid neighbours bracket the search. _SCAN_PHIS carries 2 pi after the
+    last grid angle, so both exist in either half. The result is a point
+    the search evaluated.
     """
-    best = start + np.argmin(tau[start:stop])
+    best = start + 1 + np.argmin(tau[1 : DEFAULT_GRID_POINTS // 2])
     return golden_min(objective, _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL)
+
+
+def _half_bounds(ctask):
+    """Closed-form lower bounds on tau over the open halves (0, pi) and (pi, 2 pi).
+
+    Each bound is alpha's floor on the half over omega at the largest p
+    there, with p = x cos(phi) + y sin(phi) = r cos(phi - psi). The first
+    bound holds at phi = 0 too, where alpha = pi:
+
+    - alpha >= theta on (0, pi), since arccos((s^2 - t^2)/(s^2 + t^2)),
+      t = tan(theta/2), falls as s^2 = sin(phi)^2 grows to 1 at pi/2. The
+      computed g carries a few ulp, which lowers the computed alpha by up to
+      about _ALPHA_ROUNDING / sin(theta), more than theta itself near
+      theta -> 0, so that much comes off the floor. On (pi, 2 pi),
+      alpha = 2 pi - arccos(...) >= pi, exactly so in floating point.
+      Antipodal tasks have alpha = pi on both halves.
+    - omega rises with p: d omega/dp = sqrt(2 eps)(1 + sqrt(2 eps) p/root)
+      > 0, as root > sqrt(2 eps)|p|. On a half, p <= r = hypot(x, y) if psi
+      = atan2(y, x) lies in it (y >= 0 for the first half, y <= 0 for the
+      second), and p <= |x| otherwise: there y sin(phi) <= 0, so p <= x
+      cos(phi).
+
+    Both largest p are >= 0, where omega is computed without cancellation.
+    """
+    x, y = _axis_xy(ctask.wind)
+    r = math.hypot(x, y)
+    if ctask.theta >= np.pi - DEGENERATE_THETA_TOL:
+        first_floor = np.pi
+    else:
+        first_floor = ctask.theta - _ALPHA_ROUNDING / math.sin(ctask.theta)
+    first = first_floor / _omega(ctask.wind, r if y >= 0.0 else abs(x))
+    second = np.pi / _omega(ctask.wind, r if y <= 0.0 else abs(x))
+    return float(first), float(second)
 
 
 def _assemble(task, ctask, phi_star):
@@ -444,13 +488,25 @@ def optimize(task):
     first half's refined angle just below pi when its time ties the pi
     candidate's. Without wind the geodesic angle pi/2 is taken, unscanned.
 
-    The scan is tau_of_phi's checked curve on the grid, fed the fixed
-    _SCAN_COS and _SCAN_SIN tables instead of fresh trig. Every angle that
-    can be returned goes through the orientation check before it is
-    assembled: the boundary candidates 0 and pi within the scan, which
-    checks every grid angle (and, as everywhere, exempts |sin phi| below
-    1e-6), and every angle either refinement evaluated, the returned one
-    included, or else pi/2 without wind, in one alpha_of_phi batch.
+    Each half is scanned as its own slice of the grid, ends included (pi
+    lies in both), so every scanned voyage time equals the full scan's bit
+    for bit. _half_bounds gives a closed-form lower bound on tau over each
+    half, alpha's floor there over omega at the half's largest wind
+    projection. The half with the smaller bound is scanned and refined
+    first; the other is skipped when its bound exceeds the best voyage time
+    found by the relative margin _PRUNE_MARGIN (1e-3), else scanned and
+    refined the same way. A skipped half holds no candidate that could win,
+    so the answer is the one both halves would give.
+
+    The scan is tau_of_phi's checked curve on slices of the fixed _SCAN_COS
+    and _SCAN_SIN tables instead of fresh trig. The orientation check covers
+    every angle whose curve value the solver uses: the grid angles of each
+    scanned half (exempting, as everywhere, |sin phi| below 1e-6), and
+    every angle either refinement evaluated, the returned one included, or
+    else pi/2 without wind, in one alpha_of_phi batch. The full-throttle
+    residual is checked on the scanned grid angles and again at the
+    returned angle on assembly. A skipped half's angles are not evaluated,
+    so neither check runs there.
     """
     ctask = canonicalize(task)
     if ctask.wind.is_zero:
@@ -458,16 +514,25 @@ def optimize(task):
         phi_star = np.pi / 2.0
         seen = [phi_star]
     else:
-        tau = _voyage_curve(ctask, _SCAN_PHIS[:-1], _SCAN_COS, _SCAN_SIN).tau
         half = DEFAULT_GRID_POINTS // 2
+        # scan indices of each half, ends included: pi lies in both
+        scans = (slice(0, half + 1), slice(half, DEFAULT_GRID_POINTS))
         seen = []
         objective = _refine_objective(ctask, seen)
-        candidates = [
-            _refine_half(objective, tau, 1, half),
-            _refine_half(objective, tau, half + 1, DEFAULT_GRID_POINTS),
-            (0.0, tau[0]),
-            (np.pi, tau[half]),
-        ]
+        bounds = _half_bounds(ctask)
+        candidates = []
+        for k in (0, 1) if bounds[0] <= bounds[1] else (1, 0):
+            if candidates and bounds[k] > min(c[1] for c in candidates) * (1.0 + _PRUNE_MARGIN):
+                # when the first half is skipped, tau(0) = pi/omega(x) is
+                # at least its bound, so the 0 candidate cannot win either
+                break
+            scan = scans[k]
+            tau = _voyage_curve(ctask, _SCAN_PHIS[scan], _SCAN_COS[scan], _SCAN_SIN[scan]).tau
+            candidates.append(_refine_half(objective, tau, scan.start))
+            if k == 0:
+                candidates += [(0.0, tau[0]), (np.pi, tau[half])]
+            else:
+                candidates.append((np.pi, tau[0]))
         tau_best = min(c[1] for c in candidates)
         phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     alpha_of_phi(ctask.theta, np.asarray(seen))

@@ -15,7 +15,7 @@ from qnav import (
     transform_wind,
     wind_operator,
 )
-from qnav.bloch import WindSpec, _cross
+from qnav.bloch import WindSpec, _cross, _norm
 from qnav.linalg import split_trace
 from qnav.state_nav import canonicalize
 
@@ -148,6 +148,22 @@ def test_component_cross_is_np_cross(rng):
     b[25:75] = np.eye(3)[rng.integers(0, 3, size=50)]
     for x, y in zip(a, b):
         assert same_bits(_cross(x, y), np.cross(x, y)), (x, y)
+
+
+def test_norm_is_np_linalg_norm_bitwise(rng):
+    """The frame, WindSpec and the wind axis take a 3-vector's length as
+    sqrt(v . v), the reduction np.linalg.norm runs for a real 1-D vector:
+    the same bits over magnitudes 1e-8 to 1e8, zeros and axis vectors."""
+    n = 10_000
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    v[:50, rng.integers(0, 3, size=50)] = 0.0
+    v[50:80] = np.eye(3)[rng.integers(0, 3, size=30)] * rng.choice([-1.0, 1.0], size=(30, 1))
+    v[80:90] = 0.0
+    v[90:100] = np.eye(3)[rng.integers(0, 3, size=10)] * 10.0 ** rng.uniform(-8, 8, size=(10, 1))
+    for x in v:
+        norm = _norm(x)
+        assert type(norm) is float
+        assert same_bits(np.float64(norm), np.linalg.norm(x)), x
 
 
 def test_frame_y_axis_is_np_cross(rng):

@@ -462,3 +462,27 @@ def test_offset_cache_memory_bound():
         assert big is not _offset_table(n, largest[n] + 1)
         assert not big.flags.writeable
     assert _cached_offset_table.cache_info() == full
+
+
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+@pytest.mark.parametrize("gate", [SWAP, SIGMA_X], ids=["swap", "pauli_x"])
+def test_det_minus_one_conjugations_pick_one_coset(rng, gate):
+    """V g V^H with the wind conjugated alike is the same task in another
+    basis. det = -1 makes angle(det) land on +pi or -pi by the roundoff in
+    its imaginary part; both must give one coset, so one voyage time and
+    one branch."""
+    n = gate.shape[0]
+    h = random_traceless_hermitian(rng, n, 0.4).matrix
+    sides, times, branches = set(), [], set()
+    for _ in range(24):
+        v = haar_unitary(rng, n)
+        task = gate_task(v @ gate @ v.conj().T, HermitianOperator(v @ h @ v.conj().T))
+        sides.add(float(np.sign(np.angle(np.linalg.det(task.u_final)))))
+        sol = solve_gate_min_branch(task, 1)
+        times.append(sol.voyage_time)
+        branches.add(tuple(sol.branch))
+    assert sides == {-1.0, 1.0}
+    assert len(branches) == 1
+    np.testing.assert_allclose(times, times[0], rtol=1e-9)

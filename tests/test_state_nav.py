@@ -21,11 +21,17 @@ from qnav import (
     sweep,
     tau_of_phi,
 )
-from qnav import state_nav
-from qnav.bloch import WindSpec
+from qnav import state_nav, subspace
+from qnav.bloch import DEGENERATE_THETA_TOL, WindSpec
+from qnav.errors import QnavError
+from qnav.linalg import spectral_span
+from qnav.minimize import golden_min
+from qnav.oracle import first_passage
 from qnav.state_nav import (
     DEFAULT_GRID_POINTS,
+    DEFAULT_PHI_TOL,
     MAX_SWEEP_POINTS,
+    CanonicalStateTask,
     _refine_objective,
     alpha_geometric,
     canonicalize,
@@ -34,6 +40,7 @@ from qnav.state_nav import (
 
 from conftest import (
     benchmark_task,
+    haar_state,
     haar_unitary,
     make_task,
     random_unit_axis,
@@ -175,14 +182,57 @@ def spy_refined_checks(monkeypatch):
     return calls
 
 
+def both_halves_task():
+    """Optimum in the first half (tau 2.98), yet the second half's bound
+    (2.69) lies below it, so optimize scans and refines both halves."""
+    return make_task(np.pi / 2.0, 0.9, [0.3, -0.2, 0.9])
+
+
+def second_half_task():
+    """The second half has the smaller bound and is refined first; the
+    first half's bound (2.58) then exceeds the best voyage time (1.79), so
+    it is skipped."""
+    return make_task(np.pi / 2.0, 0.9, [0.1, -0.9, 0.3])
+
+
+def scan_start(phi):
+    """Grid index of the first angle of a scan, a slice of _SCAN_PHIS."""
+    assert np.shares_memory(phi, state_nav._SCAN_PHIS)
+    return int(np.searchsorted(state_nav._SCAN_PHIS, phi[0]))
+
+
+def spy_scans(monkeypatch):
+    """Record each grid scan optimize runs, found by shared memory with the
+    scan tables: (ctask, first grid index, curve) per call."""
+    scans = []
+    real = state_nav._voyage_curve
+
+    def spy(ctask, phi, c, s):
+        curve = real(ctask, phi, c, s)
+        if np.shares_memory(c, state_nav._SCAN_COS):
+            assert np.shares_memory(s, state_nav._SCAN_SIN)
+            scans.append((ctask, scan_start(phi), curve))
+        return curve
+
+    monkeypatch.setattr(state_nav, "_voyage_curve", spy)
+    return scans
+
+
+HALF_STARTS = {"first": [0], "second": [DEFAULT_GRID_POINTS // 2], "both": [0, DEFAULT_GRID_POINTS // 2]}
+
+
 def test_scan_cross_checks_every_grid_angle(monkeypatch):
-    """Perturb the geometry at one grid angle of the losing half: only the
-    orientation check of the grid scan sees it, and it raises before the
-    refined angles are checked."""
-    task = benchmark_task()
+    """Perturb the geometry at one grid angle of the losing second half, on a
+    task whose halves are both scanned and refined: only the orientation
+    check of that half's scan sees it, and it raises before the refined
+    angles are checked."""
+    task = both_halves_task()
     k = 3 * DEFAULT_GRID_POINTS // 4
+    scans = spy_scans(monkeypatch)
     calls = spy_refined_checks(monkeypatch)
     sol = optimize(task)
+    assert [start for _, start, _ in scans] == HALF_STARTS["both"]
+    assert sol.phi_star < np.pi
     assert state_nav._SCAN_PHIS[k] not in calls[0]["phi"]
     assert sol.phi_star != state_nav._SCAN_PHIS[k]
 
@@ -502,11 +552,12 @@ def test_refine_objective_matches_public_formulas_bitwise(rng):
 
 
 def test_optimize_cross_checks_every_refined_angle(monkeypatch):
-    """Perturb the geometry at off-grid angles of the losing half only
-    (sin phi < 0, cos and sin off the scan tables): the grid scan, the
-    boundary candidates and the assembled optimum (in the first half) never
-    see it, so only the merged check of the golden evaluations can raise."""
-    task = benchmark_task()
+    """Perturb the geometry at off-grid angles of the losing second half only
+    (sin phi < 0, cos and sin off the scan tables), on a task whose halves
+    are both scanned and refined: the grid scans, the boundary candidates
+    and the assembled optimum (in the first half) never see it, so only the
+    merged check of the golden evaluations can raise."""
+    task = both_halves_task()
     real = state_nav._alpha_geometric
 
     def perturbed(shift):
@@ -516,9 +567,11 @@ def test_optimize_cross_checks_every_refined_angle(monkeypatch):
 
         return geo
 
+    scans = spy_scans(monkeypatch)
     calls = spy_refined_checks(monkeypatch)
     monkeypatch.setattr(state_nav, "_alpha_geometric", perturbed(1e-10))
     assert optimize(task).phi_star < np.pi
+    assert [start for _, start, _ in scans] == HALF_STARTS["both"]
     assert [call["returned"] for call in calls] == [True]
     calls.clear()
     monkeypatch.setattr(state_nav, "_alpha_geometric", perturbed(1e-6))
@@ -530,8 +583,9 @@ def test_optimize_cross_checks_every_refined_angle(monkeypatch):
 
 
 def test_optimize_checks_both_refinements_in_one_batch(monkeypatch):
-    """One alpha_of_phi call per solve, holding every angle that either
-    golden search evaluated, in evaluation order."""
+    """One alpha_of_phi call per solve, holding every angle that each golden
+    search evaluated, in evaluation order: one search per refined half, the
+    half with the smaller bound first, and none for a skipped half."""
     searches = []
     real_golden = state_nav.golden_min
 
@@ -541,14 +595,20 @@ def test_optimize_checks_both_refinements_in_one_batch(monkeypatch):
         return real_golden(lambda x: evaluated.append(x) or f(x), lo, hi, xtol)
 
     monkeypatch.setattr(state_nav, "golden_min", golden)
+    scans = spy_scans(monkeypatch)
     calls = spy_refined_checks(monkeypatch)
-    optimize(benchmark_task())
-    assert len(searches) == 2
-    (call,) = calls
-    assert call["returned"]
-    assert call["phi"].tolist() == searches[0] + searches[1]
-    assert np.all(np.array(searches[0]) <= np.pi)
-    assert np.all(np.array(searches[1]) >= np.pi)
+    for task, kind in ((both_halves_task(), "both"), (benchmark_task(), "first"), (second_half_task(), "second")):
+        searches.clear()
+        scans.clear()
+        calls.clear()
+        optimize(task)
+        assert [start for _, start, _ in scans] == HALF_STARTS[kind]
+        assert len(searches) == len(scans)
+        (call,) = calls
+        assert call["returned"]
+        assert call["phi"].tolist() == sum(searches, [])
+        for (_, start, _), evaluated in zip(scans, searches):
+            assert np.all((np.array(evaluated) >= np.pi) == (start > 0))
 
 
 def no_wind_task(theta):
@@ -628,50 +688,61 @@ def test_scan_tables_are_the_grid_trig():
 
 
 def test_scan_curve_is_tau_of_phi_on_the_grid(monkeypatch, rng):
-    """The scan feeds the tables to the curve core; every field it produces
-    equals tau_of_phi on the grid bit for bit."""
-    scans = []
-    real = state_nav._voyage_curve
-
-    def spy(ctask, phi, c, s):
-        curve = real(ctask, phi, c, s)
-        if c is state_nav._SCAN_COS:
-            assert s is state_nav._SCAN_SIN
-            scans.append((ctask, curve))
-        return curve
-
-    monkeypatch.setattr(state_nav, "_voyage_curve", spy)
-    tasks = [benchmark_task(), make_task(np.pi, 0.5, [0.3, 0.4, np.sqrt(0.75)])]
+    """The scan feeds slices of the tables to the curve core, one per scanned
+    half: grid indices 0 to N/2 for the first, N/2 to N - 1 for the second.
+    Every field it produces equals tau_of_phi on the whole grid, at the same
+    indices, bit for bit."""
+    n, half = DEFAULT_GRID_POINTS, DEFAULT_GRID_POINTS // 2
+    scans = spy_scans(monkeypatch)
+    tasks = [benchmark_task(), both_halves_task(), second_half_task()]
+    tasks += [make_task(np.pi, 0.5, [0.3, 0.4, np.sqrt(0.75)])]
     tasks += [make_task(rng.uniform(0.1, 3.0), rng.uniform(0.01, 0.9), random_unit_axis(rng)) for _ in range(6)]
+    per_task = []
     for task in tasks:
+        scans.clear()
         optimize(task)
-    assert len(scans) == len(tasks)
-    grid = state_nav._SCAN_PHIS[:-1]
-    for ctask, curve in scans:
-        expected = tau_of_phi(ctask, grid)
-        assert all(same_bits(got, want) for got, want in zip(curve, expected))
+        per_task.append([start for _, start, _ in scans])
+        grid = state_nav._SCAN_PHIS[:-1]
+        expected = tau_of_phi(scans[0][0], grid)
+        for ctask, start, curve in scans:
+            stop = half + 1 if start == 0 else n
+            assert start in (0, half) and curve.phi.size == stop - start
+            assert all(same_bits(got, want[start:stop]) for got, want in zip(curve, expected))
+    assert per_task[:3] == [HALF_STARTS["first"], HALF_STARTS["both"], HALF_STARTS["second"]]
 
 
 @pytest.mark.parametrize("k", [0, DEFAULT_GRID_POINTS // 2], ids=["zero", "pi"])
 def test_boundary_candidate_read_at_its_grid_index(monkeypatch, k):
-    """Lower the scanned voyage time at phi = 0 or pi below everything else
-    the solver sees: optimize must return that angle exactly, which holds
-    only if its boundary candidate is read at the right scan index."""
+    """Lower the scanned voyage time at phi = 0 or pi, in every scan that
+    holds that grid index, below everything else the solver sees: optimize
+    must return that angle exactly, which holds only if its boundary
+    candidate is read at the right index of each half's scan. pi lies in
+    both halves; it is pinned in the first half's scan on the benchmark task,
+    whose second half is skipped, and in the second half's scan on a task
+    whose first half is skipped."""
     real = state_nav._voyage_curve
+    starts = []
 
     def lowered(ctask, phi, c, s):
         curve = real(ctask, phi, c, s)
-        if c is not state_nav._SCAN_COS:
+        if not np.shares_memory(c, state_nav._SCAN_COS):
+            return curve
+        start = scan_start(phi)
+        starts.append(start)
+        if not start <= k < start + phi.size:
             return curve
         tau = curve.tau.copy()
-        tau[k] = 0.5 * np.min(tau)
+        tau[k - start] = 0.5 * np.min(tau)
         return curve._replace(tau=tau)
 
     monkeypatch.setattr(state_nav, "_voyage_curve", lowered)
-    task = benchmark_task()
-    sol = optimize(task)
-    assert sol.phi_star == (0.0 if k == 0 else np.pi)
-    assert sol.tau_star == tau_of_phi(canonicalize(task), sol.phi_star).tau
+    cases = [(benchmark_task(), "first")] + ([(second_half_task(), "second")] if k else [])
+    for task, kind in cases:
+        starts.clear()
+        sol = optimize(task)
+        assert starts == HALF_STARTS[kind]
+        assert sol.phi_star == (0.0 if k == 0 else np.pi)
+        assert sol.tau_star == tau_of_phi(canonicalize(task), sol.phi_star).tau
 
 
 def test_scan_grid_holds_zero_and_pi_exactly(rng):
@@ -722,6 +793,233 @@ def test_antipodal_tie_goes_to_the_smaller_angle(eps):
     sol = optimize(plus)
     assert sol.phi_star == 0.0
     assert sol.tau_star == tau_of_phi(canonicalize(plus), 0.0).tau
+
+
+psi_st = st.one_of(st.sampled_from(["0", "pi", "-pi"]), st.floats(min_value=-np.pi, max_value=np.pi))
+
+
+def canonical_axis(psi, z):
+    """Unit axis with z-component z and in-plane angle psi; "0", "pi" and
+    "-pi" put psi on the boundary of both halves, y = +0.0 or -0.0 exactly."""
+    rho = math.sqrt(1.0 - z * z)
+    if psi == "0":
+        return [rho, 0.0, z]
+    if psi in ("pi", "-pi"):
+        return [-rho, 0.0 if psi == "pi" else -0.0, z]
+    return [rho * math.cos(psi), rho * math.sin(psi), z]
+
+
+@given(
+    theta=st.one_of(
+        st.floats(min_value=DEGENERATE_THETA_TOL, max_value=1e-8),
+        st.floats(min_value=1e-8, max_value=np.pi - 1e-8),
+        st.floats(min_value=np.pi - 1e-8, max_value=np.pi),
+        st.just(np.pi),
+    ),
+    eps=st.one_of(st.floats(min_value=1e-6, max_value=1.0 - 1e-12), st.just(1.0 - 1e-12)),
+    psi=psi_st,
+    z=st.floats(min_value=-1.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_half_bounds_are_below_every_computed_tau(theta, eps, psi, z, seed):
+    """Each half's closed-form bound is at most every voyage time the solver
+    can compute there and reads from that half alone: the scan's grid
+    values, 0 included in the first half (so skipping it drops the 0
+    candidate too), and tau_of_phi at random angles inside it. pi is read
+    whichever half is scanned; the grid's pi has sin(pi) = 1.2e-16 > 0, so
+    its alpha is the first half's and can fall short of pi. The grid values come
+    from _curve_point, bit for bit tau_of_phi (pinned above) without the
+    orientation check, whose near-antipodal false alarm would refuse some
+    angles before their voyage time is read; tau_of_phi falls back to it
+    the same way. Only the curve's last bits may undercut a bound (the
+    computed p at psi can exceed hypot(x, y) by an ulp, seen up to 4e-16
+    relative), so 1e-14 is allowed, far inside the prune rule's 1e-3."""
+    ctask = CanonicalStateTask(
+        theta=theta, frame=None, wind=WindSpec(epsilon=eps, axis=canonical_axis(psi, z)), h0_trace_half=0.0
+    )
+    point = state_nav._curve_point(ctask)
+
+    def unchecked(phis):
+        return np.array([point(phi)[1] for phi in phis.tolist()])
+
+    def checked(phis):
+        try:
+            return tau_of_phi(ctask, phis).tau
+        except ArithmeticError:
+            return unchecked(phis)
+
+    grid = unchecked(state_nav._SCAN_PHIS[:-1])
+    half = DEFAULT_GRID_POINTS // 2
+    rng = np.random.default_rng(seed)
+    first, second = (bound / (1.0 + 1e-14) for bound in state_nav._half_bounds(ctask))
+    assert first <= grid[: half + 1].min()
+    assert second <= grid[half + 1 :].min()
+    assert first <= checked(rng.uniform(0.0, np.pi, size=64)).min()
+    assert second <= checked(rng.uniform(np.pi, 2.0 * np.pi, size=64)).min()
+
+
+def unpruned_optimize(task):
+    """optimize before the halves were bounded: the whole grid scanned and
+    both open halves refined on every task."""
+    ctask = canonicalize(task)
+    if ctask.wind.is_zero:
+        return optimize(task)
+    n, half = DEFAULT_GRID_POINTS, DEFAULT_GRID_POINTS // 2
+    tau = state_nav._voyage_curve(ctask, state_nav._SCAN_PHIS[:-1], state_nav._SCAN_COS, state_nav._SCAN_SIN).tau
+    seen = []
+    objective = _refine_objective(ctask, seen)
+
+    def refine(start, stop):
+        best = start + np.argmin(tau[start:stop])
+        return golden_min(objective, state_nav._SCAN_PHIS[best - 1], state_nav._SCAN_PHIS[best + 1], DEFAULT_PHI_TOL)
+
+    candidates = [refine(1, half), refine(half + 1, n), (0.0, tau[0]), (np.pi, tau[half])]
+    tau_best = min(c[1] for c in candidates)
+    phi_star = min(c[0] for c in candidates if c[1] == tau_best)
+    alpha_of_phi(ctask.theta, np.asarray(seen))
+    return state_nav._assemble(task, ctask, phi_star)
+
+
+def log_uniform(rng, lo, hi):
+    return lo * (hi / lo) ** rng.uniform()
+
+
+def benchmark_kind_task(rng, kind):
+    """A seeded task like those the state benchmark draws: Haar pairs, strong
+    wind, small and near-antipodal separations just outside the known-defect
+    bands, subspace blocks (n = 3, 4), and tasks inside the three bands."""
+    separation = {
+        "small_theta": (1e-2, 3e-2),
+        "near_antipodal": (0.15, 0.3),
+        "defect_small_theta": (1e-8, 2e-3),
+        "defect_near_antipodal": (1e-6, 0.08),
+    }
+    eps = rng.uniform(0.0, 0.9)
+    if kind == "strong_wind":
+        eps = rng.uniform(0.8, 0.9)
+    elif kind == "defect_strong_wind":
+        eps = 1.0 - log_uniform(rng, 1e-12, 0.1)
+    wind = pauli_compose(rng.uniform(-0.5, 0.5), np.sqrt(eps / 2.0) * random_unit_axis(rng)).matrix
+    n = int(kind[-1]) if kind.startswith("subspace") else 2
+    u = haar_unitary(rng, n)
+    if kind in separation:
+        lo, hi = separation[kind]
+        d = log_uniform(rng, lo, hi)
+        pair = symmetric_pair(np.pi - d if kind.endswith("antipodal") else d)
+        psi_i, psi_f = (u @ p.amplitudes for p in pair)
+    else:
+        psi_i, psi_f = (u[:, :2] @ haar_state(rng).amplitudes for _ in range(2))
+    h0 = np.zeros((n, n), dtype=complex)
+    h0[:2, :2] = wind
+    if n > 2:
+        z = rng.normal(size=(n - 2, n - 2)) + 1j * rng.normal(size=(n - 2, n - 2))
+        h0[2:, 2:] = 0.5 * (z + z.conj().T)
+    return NavigationTask(
+        psi_initial=StateVector(psi_i),
+        psi_final=StateVector(psi_f),
+        h0=HermitianOperator(u @ h0 @ u.conj().T),
+    )
+
+
+BENCHMARK_KINDS = (
+    "haar",
+    "strong_wind",
+    "small_theta",
+    "near_antipodal",
+    "subspace3",
+    "subspace4",
+    "defect_near_antipodal",
+    "defect_small_theta",
+    "defect_strong_wind",
+)
+
+
+def test_optimize_matches_unpruned_reference_bitwise(monkeypatch):
+    """Wherever the unpruned reference solves, optimize gives the same
+    solution to the last bit: every field and the bytes of h_total and
+    h_control. Subspace tasks solve their block through either optimize.
+    The reference rarely solves inside the near-antipodal band, so up to 480
+    tasks are drawn per kind until 24 solve."""
+    scans = spy_scans(monkeypatch)
+    fields = ("phi_star", "omega_star", "tau_star", "theta", "fidelity_check", "constraint_residual")
+    solved = dict.fromkeys(BENCHMARK_KINDS, 0)
+    skipped = 0
+    for kind in BENCHMARK_KINDS:
+        rng = np.random.default_rng([20240817, BENCHMARK_KINDS.index(kind)])
+        for _ in range(480):
+            if solved[kind] == 24:
+                break
+            task = benchmark_kind_task(rng, kind)
+
+            def solve(opt):
+                monkeypatch.setattr(subspace, "optimize", opt)
+                return opt(task) if task.psi_initial.dim == 2 else subspace.solve_embedded(task)
+
+            try:
+                want = solve(unpruned_optimize)
+            except (ArithmeticError, QnavError):
+                continue
+            scans.clear()
+            got = solve(optimize)
+            solved[kind] += 1
+            skipped += len(scans) == 1
+            assert all(same_bits(getattr(got, f), getattr(want, f)) for f in fields), kind
+            assert same_bits(got.h_total.matrix, want.h_total.matrix), kind
+            assert same_bits(got.h_control.matrix, want.h_control.matrix), kind
+    assert min(solved.values()) >= 1, solved
+    assert skipped > sum(solved.values()) // 2, (skipped, solved)
+
+
+def test_skipped_half_is_never_scanned_or_refined(monkeypatch):
+    """A half whose bound rules it out reaches neither _voyage_curve nor
+    golden_min: the benchmark task skips the second half, second_half_task
+    the first."""
+    curve_calls = []
+    brackets = []
+    real_curve, real_golden = state_nav._voyage_curve, state_nav.golden_min
+
+    def curve(ctask, phi, c, s):
+        curve_calls.append(np.array(phi, dtype=float))
+        return real_curve(ctask, phi, c, s)
+
+    def golden(f, lo, hi, xtol):
+        brackets.append((lo, hi))
+        return real_golden(f, lo, hi, xtol)
+
+    monkeypatch.setattr(state_nav, "_voyage_curve", curve)
+    monkeypatch.setattr(state_nav, "golden_min", golden)
+    for task, skipped in ((benchmark_task(), 1), (second_half_task(), 0)):
+        curve_calls.clear()
+        brackets.clear()
+        sol = optimize(task)
+        bounds = state_nav._half_bounds(canonicalize(task))
+        assert bounds[skipped] > sol.tau_star * (1.0 + state_nav._PRUNE_MARGIN)
+        assert len(curve_calls) == 1 and len(brackets) == 1
+        for phi in [curve_calls[0], np.array(brackets[0])]:
+            if skipped:
+                assert np.all(phi <= np.pi)
+            else:
+                assert np.all(phi >= np.pi)
+
+
+def test_near_antipodal_task_is_solved_once_its_losing_half_is_skipped():
+    """A seeded task inside the near-antipodal defect band (pi - theta = 1e-3,
+    Haar frame) that the orientation check's false alarm used to reject on
+    the losing half: that half is now skipped, and the answer is right."""
+    rng = np.random.default_rng(20240817)
+    u = haar_unitary(rng)
+    psi_i, psi_f = (StateVector(u @ p.amplitudes) for p in symmetric_pair(np.pi - 1e-3))
+    h0 = pauli_compose(0.2, np.sqrt(0.6 / 2.0) * random_unit_axis(rng))
+    task = NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)
+    with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
+        unpruned_optimize(task)
+    sol = optimize(task)
+    assert sol.fidelity_check >= 1.0 - 1e-9
+    dt = np.pi * 1e-3 / spectral_span(sol.h_total)
+    passage = first_passage(sol.h_total, psi_i, psi_f, t_max=1.5 * sol.tau_star + 10.0 * dt, dt=dt)
+    assert passage.reached
+    assert abs(passage.t_first - sol.tau_star) <= 1e-6
 
 
 def test_optimize_degenerate_task():
