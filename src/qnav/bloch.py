@@ -44,7 +44,9 @@ def state_to_bloch(psi):
 def _overlap_separation(psi_i, psi_f):
     """Overlap <psi_i|psi_f> and the separation 2*arccos|<psi_i|psi_f>|, any dim."""
     overlap = np.vdot(psi_i.amplitudes, psi_f.amplitudes)
-    return overlap, 2.0 * float(np.arccos(np.clip(abs(overlap), 0.0, 1.0)))
+    # |overlap| is finite and nonnegative; roundoff can lift it above 1
+    r = abs(overlap)
+    return overlap, 2.0 * float(np.arccos(1.0 if r > 1.0 else r))
 
 
 def angular_separation(psi_i, psi_f):

@@ -31,7 +31,7 @@ from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
 from .linalg import HermitianOperator, spectral_span
 from .oracle import HERMITIAN_TOL, first_passage, solution_checks
 from .state_nav import DEFAULT_GRID_POINTS, optimize, rho_of_phi, sweep
-from .subspace import detect_and_reduce, solve_embedded
+from .subspace import _solve_reduced, detect_and_reduce
 from .taskio import (
     dumps_result,
     load_task,
@@ -107,14 +107,14 @@ def cmd_solve_state(args):
 
     doc = {"mode": loaded.mode, "meta": _meta()}
     if loaded.mode == "subspace":
+        # one reduction serves the output block and the solve
         reduction = detect_and_reduce(task)
-        solution = solve_embedded(task)
         doc["subspace"] = {
             "dim": task.psi_initial.dim,
             "invariance_residual": reduction.invariance_residual,
         }
-    else:
-        solution = optimize(task)
+    # as in solve_embedded, optimize solves a qubit task directly
+    solution = optimize(task) if task.psi_initial.dim == 2 else _solve_reduced(task, reduction)
 
     doc.update(
         {

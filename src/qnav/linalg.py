@@ -74,12 +74,13 @@ class HermitianOperator:
 
     def __post_init__(self):
         a = _as_square_complex(self.matrix, "Hermitian operator")
-        drift = np.abs(a - a.conj().T).max()
+        adj = a.conj().T
+        drift = np.abs(a - adj).max()
         if drift > HERMITIAN_DRIFT_TOL:
             raise NotHermitianError(
                 f"anti-Hermitian drift {drift:.3e} exceeds {HERMITIAN_DRIFT_TOL:.0e}"
             )
-        sym = 0.5 * (a + a.conj().T)
+        sym = 0.5 * (a + adj)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
@@ -129,6 +130,19 @@ def pauli_compose(a0, a):
     return HermitianOperator(m)
 
 
+def _pauli_matrix(a0, ax, ay, az):
+    """pauli_compose(a0, [ax, ay, az]) for float coefficients, written entry by entry.
+
+    The same bytes, signed zeros included, without the array checks and the
+    three Pauli products.
+    """
+    # pauli_compose's diagonal takes this signed zero when a0 is -0.0 and az a zero
+    zero = ax * 0.0 + ay * 0.0
+    return HermitianOperator(
+        np.array([[a0 + (zero + az), ax - 1j * ay], [ax + 1j * ay, a0 + (zero - az)]])
+    )
+
+
 def pauli_decompose(h):
     """Inverse of pauli_compose for 2x2 Hermitian operators.
 
@@ -153,7 +167,7 @@ def hs_trace_product(a, b):
     """Hilbert-Schmidt product Re tr(a b) of two Hermitian operators."""
     if a.dim != b.dim:
         raise DimensionError(f"dim mismatch {a.dim} vs {b.dim}")
-    t = complex(np.trace(a.matrix @ b.matrix))
+    t = complex((a.matrix @ b.matrix).trace())
     # tr(AB) is real for Hermitian A, B; a sizeable imaginary part means a bug upstream
     if abs(t.imag) > 1e-12:
         raise ArithmeticError(f"trace product has imaginary part {t.imag:.3e}")

@@ -130,16 +130,18 @@ def _refine_peak(w, table, lo, hi):
     """Golden-section maximum of the fidelity on [lo, hi].
 
     Each step writes cmath.exp(m * t) for every rate m of -1j * w into one
-    preallocated buffer and sums it against table with np.dot: the bits of
-    np.dot(table, np.exp(-1j * w * t)) without building two arrays per step.
+    preallocated buffer and sums it against table with the bound table.dot,
+    the BLAS call np.dot makes: the bits of np.dot(table, np.exp(-1j * w * t))
+    without building two arrays per step.
     """
     rates = (-1j * w).tolist()
     phases = np.empty(len(rates), dtype=complex)
+    dot = table.dot
 
     def neg_f(t):
         for k, m in enumerate(rates):
             phases[k] = cmath.exp(m * t)
-        return -abs(np.dot(table, phases)) ** 2
+        return -abs(dot(phases)) ** 2
 
     span = hi - lo
     xtol = REFINE_XTOL if span > REFINE_XTOL else span / 4.0

@@ -6,15 +6,21 @@ on that span. The optimal control then lives entirely on the block and
 the orthogonal complement just evolves under the background.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import distinct_separation
 from .errors import NotInvariantError
 from .linalg import HermitianOperator, StateVector
-from .oracle import require_passed, solution_checks
-from .state_nav import NavigationTask, optimize
+from .state_nav import (
+    NavigationTask,
+    _lab_answer,
+    _optimum_angle,
+    _verified,
+    canonicalize,
+    optimize,
+)
 
 INVARIANCE_TOL = 1e-9
 
@@ -81,36 +87,30 @@ def solve_embedded(task):
     The total Hamiltonian is the embedded block solution plus the
     background restricted to the orthogonal complement, so the control
     is supported on the block alone. The qubit task on h0_block is the
-    solve's one background split and budget check. For n = 2 this defers
-    to the direct solver before any reduction.
+    solve's one background split and budget check. The block answer is
+    built but not verified: solution_checks runs once, on the embedded
+    n x n answer, whose checks imply the block's up to the invariance
+    leak. For n = 2 this defers to the direct solver before any reduction.
     """
-    n = task.psi_initial.dim
-    if n == 2:
+    if task.psi_initial.dim == 2:
         return optimize(task)
+    return _solve_reduced(task, detect_and_reduce(task))
 
-    red = detect_and_reduce(task)
+
+def _solve_reduced(task, red):
+    """solve_embedded for a task of dim n > 2 and its reduction red = detect_and_reduce(task)."""
     basis = red.basis
     sub_task = NavigationTask(
         psi_initial=StateVector(np.array([1.0, 0.0], dtype=complex)),
         psi_final=StateVector(basis.conj().T @ task.psi_final.amplitudes),
         h0=red.h0_block,
     )
-    sol2 = optimize(sub_task)
+    ctask = canonicalize(sub_task)
+    answer, h_block = _lab_answer(ctask, _optimum_angle(ctask))
 
     proj = basis @ basis.conj().T
-    comp = np.eye(n) - proj
+    comp = np.eye(task.psi_initial.dim) - proj
     h_total = HermitianOperator(
-        basis @ sol2.h_total.matrix @ basis.conj().T + comp @ task.h0.matrix @ comp
+        basis @ h_block.matrix @ basis.conj().T + comp @ task.h0.matrix @ comp
     )
-    h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
-    checks = solution_checks(
-        h_total, h_control, task.h0, sol2.tau_star, states=(task.psi_initial, task.psi_final)
-    )
-    require_passed(checks, "embedded")
-    return replace(
-        sol2,
-        h_total=h_total,
-        h_control=h_control,
-        fidelity_check=checks["fidelity"].value,
-        constraint_residual=checks["control_budget"].value,
-    )
+    return _verified(task, answer, h_total, "embedded")

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 import qnav
+import qnav.cli
+import qnav.subspace
 from qnav.cli import main
 from qnav.state_nav import MAX_SWEEP_POINTS, canonicalize, rho_of_phi, sweep
 from qnav.taskio import complex_pairs, load_task, matrix_pairs
 
-from conftest import benchmark_axis, symmetric_pair
+from conftest import benchmark_axis, record_calls, symmetric_pair
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def write_json(path, doc):
@@ -238,6 +242,25 @@ def test_identity_gate_exit_paths(tmp_path, capsys):
     assert json.loads(out)["voyage_time"] == pytest.approx(
         4.0 * np.pi * (np.sqrt(2.0) - 1.0), abs=1e-9
     )
+
+
+def test_subspace_solve_reduces_once(monkeypatch, capsys):
+    """solve-state on a subspace task reduces once, through the public
+    detect_and_reduce, and prints byte for byte what it prints when the
+    solve goes through solve_embedded, which reduces again."""
+    task = str(REFERENCE / "subspace.json")
+    calls = []
+    with monkeypatch.context() as mp:
+        record_calls(mp, qnav.cli, "detect_and_reduce", calls)
+        record_calls(mp, qnav.subspace, "detect_and_reduce", calls)
+        code, _ = run(capsys, ["solve-state", task, "--no-oracle"])
+    assert code == 0
+    assert [name for name, _ in calls] == ["qnav.cli.detect_and_reduce"]
+    once = run(capsys, ["solve-state", task])
+    monkeypatch.setattr(qnav.cli, "_solve_reduced", lambda task, red: qnav.subspace.solve_embedded(task))
+    twice = run(capsys, ["solve-state", task])
+    assert once[0] == 0
+    assert once == twice
 
 
 def test_subspace_pipeline(tmp_path, capsys):

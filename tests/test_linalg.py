@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,17 +17,19 @@ from qnav import (
     pauli_decompose,
 )
 from qnav.linalg import (
+    HERMITIAN_DRIFT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     UNITARY_TOL,
+    _pauli_matrix,
     branch_generator,
     spectral_span,
     split_trace,
     unitary_eigenphases,
 )
 
-from conftest import haar_unitary, random_traceless_hermitian, record_calls
+from conftest import haar_unitary, random_traceless_hermitian, record_calls, same_bits
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -285,6 +289,61 @@ def test_hermitian_operator_rejects_large_drift():
     m = np.array([[1.0, 0.5 + 1e-10j], [0.5, -1.0]])
     with pytest.raises(NotHermitianError):
         HermitianOperator(m)
+
+
+SIGNED_COEFFICIENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0)
+
+
+def test_pauli_matrix_is_pauli_compose_bytewise(rng):
+    """The entry-by-entry 2x2 that assembles h_total has pauli_compose's bytes,
+    signed zeros included: every sign pattern of the special values, then
+    10^4 seeded coefficient sets, a third of them special."""
+    special = np.array(SIGNED_COEFFICIENTS)
+    cases = [np.array(c) for c in itertools.product(SIGNED_COEFFICIENTS[:4] + (0.3, -0.3), repeat=4)]
+    for _ in range(10_000):
+        c = rng.normal(size=4) * 10.0 ** rng.uniform(-8.0, 8.0, size=4)
+        pick = rng.uniform(size=4) < 1.0 / 3.0
+        c[pick] = rng.choice(special, size=int(pick.sum()))
+        cases.append(c)
+    for c in cases:
+        a0, ax, ay, az = c.tolist()
+        assert same_bits(_pauli_matrix(a0, ax, ay, az).matrix, pauli_compose(a0, c[1:]).matrix), c
+
+
+def two_adjoint_hermitian(m):
+    """HermitianOperator's check and symmetrisation as written before it formed
+    the adjoint once: (drift, symmetrised matrix or None when rejected)."""
+    a = np.asarray(m, dtype=complex)
+    drift = np.abs(a - a.conj().T).max()
+    if drift > HERMITIAN_DRIFT_TOL:
+        return drift, None
+    return drift, 0.5 * (a + a.conj().T)
+
+
+def test_hermitian_operator_matches_the_two_adjoint_constructor(rng):
+    """Bytes and drift verdicts equal the earlier constructor's on seeded
+    matrices, with drifts 0, far below, just under, at, just over and far
+    above HERMITIAN_DRIFT_TOL."""
+    verdicts = set()
+    for n in (2, 3, 4, 5):
+        for scale in (0.0, 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1e3):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            skew = w - w.conj().T
+            # m - m^H = skew * k, so the drift is k max|skew| up to rounding
+            k = scale * HERMITIAN_DRIFT_TOL / np.abs(skew).max()
+            m = 0.5 * (z + z.conj().T) + 0.5 * k * skew
+            drift, want = two_adjoint_hermitian(m)
+            verdicts.add(want is None)
+            if want is None:
+                with pytest.raises(NotHermitianError) as err:
+                    HermitianOperator(m)
+                assert str(err.value) == (
+                    f"anti-Hermitian drift {drift:.3e} exceeds {HERMITIAN_DRIFT_TOL:.0e}"
+                )
+            else:
+                assert same_bits(HermitianOperator(m).matrix, want)
+    assert verdicts == {True, False}
 
 
 def test_hermitian_operator_rejects_non_square():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qnav import (
     optimize,
     solve_embedded,
 )
+from qnav.oracle import require_passed, solution_checks
 
 from conftest import (
     haar_unitary,
@@ -189,3 +192,68 @@ def test_conjugated_invariant_tasks(n, rng):
         assert sol.fidelity_check >= 1.0 - 1e-9
         assert sol.tau_star == pytest.approx(ref.tau_star, abs=1e-11)
         assert np.max(np.abs(sol.h_control.matrix @ comp_basis)) <= 1e-10
+
+
+def two_check_solve_embedded(task):
+    """solve_embedded as written when the block answer was verified too:
+    optimize on the block, then the embedded answer's own checks."""
+    red = detect_and_reduce(task)
+    basis = red.basis
+    sol2 = optimize(
+        NavigationTask(
+            psi_initial=StateVector(np.array([1.0, 0.0], dtype=complex)),
+            psi_final=StateVector(basis.conj().T @ task.psi_final.amplitudes),
+            h0=red.h0_block,
+        )
+    )
+    comp = np.eye(task.psi_initial.dim) - basis @ basis.conj().T
+    h_total = HermitianOperator(
+        basis @ sol2.h_total.matrix @ basis.conj().T + comp @ task.h0.matrix @ comp
+    )
+    h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
+    checks = solution_checks(
+        h_total, h_control, task.h0, sol2.tau_star, states=(task.psi_initial, task.psi_final)
+    )
+    require_passed(checks, "embedded")
+    return replace(
+        sol2,
+        h_total=h_total,
+        h_control=h_control,
+        fidelity_check=checks["fidelity"].value,
+        constraint_residual=checks["control_budget"].value,
+    )
+
+
+def invariant_task(rng, n):
+    """Seeded n-level task whose two-state block is invariant, with a trace part."""
+    v = haar_unitary(rng, n)
+    psi2_i, psi2_f = symmetric_pair(float(rng.uniform(0.2, 2.9)))
+    h2 = random_traceless_hermitian(rng, strength=float(rng.uniform(0.05, 0.9))).matrix
+    z = rng.normal(size=(n - 2, n - 2)) + 1j * rng.normal(size=(n - 2, n - 2))
+    h0 = v[:, :2] @ (h2 + rng.uniform(-0.5, 0.5) * np.eye(2)) @ v[:, :2].conj().T
+    h0 = h0 + v[:, 2:] @ (0.5 * (z + z.conj().T)) @ v[:, 2:].conj().T
+    return NavigationTask(
+        psi_initial=StateVector(v[:, :2] @ psi2_i.amplitudes),
+        psi_final=StateVector(v[:, :2] @ psi2_f.amplitudes),
+        h0=HermitianOperator(h0),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_embedded_solve_verifies_once(n, rng, monkeypatch):
+    """solve_embedded runs solution_checks once, on the embedded answer, and
+    returns bit for bit what the two-check path returns: every field and
+    the bytes of h_total and h_control."""
+    for _ in range(6):
+        task = invariant_task(rng, n)
+        want = two_check_solve_embedded(task)
+        with monkeypatch.context() as mp:
+            calls = []
+            record_calls(mp, qnav.state_nav, "solution_checks", calls)
+            got = solve_embedded(task)
+        assert len(calls) == 1
+        assert same_bits(calls[0][1].matrix, got.h_total.matrix)
+        for name in ("phi_star", "omega_star", "tau_star", "theta", "fidelity_check", "constraint_residual"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert same_bits(got.h_total.matrix, want.h_total.matrix)
+        assert same_bits(got.h_control.matrix, want.h_control.matrix)
