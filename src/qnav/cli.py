@@ -113,8 +113,10 @@ def cmd_solve_state(args):
             "dim": task.psi_initial.dim,
             "invariance_residual": reduction.invariance_residual,
         }
-    # as in solve_embedded, optimize solves a qubit task directly
-    solution = optimize(task) if task.psi_initial.dim == 2 else _solve_reduced(task, reduction)
+        # as in solve_embedded, optimize solves a qubit task directly
+        solution = _solve_reduced(task, reduction) if task.psi_initial.dim > 2 else optimize(task)
+    else:
+        solution = optimize(task)
 
     doc.update(
         {

@@ -125,18 +125,10 @@ def pauli_compose(a0, a):
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise DimensionError(f"coefficient vector must have shape (3,), got {a.shape}")
-    m = float(a0) * np.eye(2, dtype=complex)
-    m += a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
-    return HermitianOperator(m)
-
-
-def _pauli_matrix(a0, ax, ay, az):
-    """pauli_compose(a0, [ax, ay, az]) for float coefficients, written entry by entry.
-
-    The same bytes, signed zeros included, without the array checks and the
-    three Pauli products.
-    """
-    # pauli_compose's diagonal takes this signed zero when a0 is -0.0 and az a zero
+    a0 = float(a0)
+    ax, ay, az = a.tolist()
+    # the zero terms ax sigma_x + ay sigma_y put on the diagonal: they set
+    # the sign of a zero diagonal entry when a0 is -0.0 and az a zero
     zero = ax * 0.0 + ay * 0.0
     return HermitianOperator(
         np.array([[a0 + (zero + az), ax - 1j * ay], [ax + 1j * ay, a0 + (zero - az)]])

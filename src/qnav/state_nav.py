@@ -24,7 +24,7 @@ from .bloch import (
     build_canonical_frame,
 )
 from .errors import DimensionError
-from .linalg import HermitianOperator, StateVector, _pauli_matrix, split_background
+from .linalg import HermitianOperator, StateVector, pauli_compose, split_background
 from .minimize import golden_min
 from .oracle import CONFIRM_THRESHOLD as FIDELITY_THRESHOLD, require_passed, solution_checks
 
@@ -229,14 +229,14 @@ def _alpha_geometric(theta, ax, ay):
     return np.where(ang <= 0.0, ang + 2.0 * np.pi, ang)
 
 
-def _principal_angle(t2, s):
-    """Rotation angle in [0, pi] from the arccos formula, for t2 = tan(theta/2)^2, s = sin(phi).
+def _principal_angle(theta, s):
+    """Rotation angle in [0, pi] from the arccos formula, for s = sin(phi).
 
-    No clip is needed: |s^2 - t2| <= s^2 + t2 exactly, and rounding is
-    monotone, so the rounded quotient stays in [-1, 1]. For t2 > 0 the
-    denominator is positive; for t2 = 0 it is s^2, and s^2 = 0 gives NaN,
-    which a clip would pass through too.
+    No clip is needed: |s^2 - t2| <= s^2 + t2 exactly for t2 = tan(theta/2)^2,
+    and rounding is monotone, so the rounded quotient stays in [-1, 1]; 0/0
+    gives NaN, which a clip would pass through too.
     """
+    t2 = np.tan(theta / 2.0) ** 2
     s2 = s * s
     return np.arccos((s2 - t2) / (s2 + t2))
 
@@ -246,13 +246,8 @@ def _alpha(theta, c, s):
     if theta >= np.pi - DEGENERATE_THETA_TOL:
         # antipodal states: every equatorial rotation needs a half turn
         return np.full(s.shape, np.pi)
-    t2 = np.tan(theta / 2.0) ** 2
-    base = _principal_angle(t2, s)
-    if t2 > 0.0:
-        # at s = +-0 the quotient is -1 exactly, so base is already pi
-        alpha = np.where(s < 0.0, 2.0 * np.pi - base, base)
-    else:
-        alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
+    base = _principal_angle(theta, s)
+    alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
 
     check = np.abs(s) > _ORIENTATION_CHECK_MIN_SIN
     if check.any():
@@ -272,8 +267,7 @@ def alpha_of_phi(theta, phi):
     reaches the target forward for sin phi > 0 and backward otherwise,
     so the first positive angle is its 2*pi complement for sin phi < 0
     and exactly pi on the boundary. Checked against alpha_geometric, fed
-    the same cos(phi) and sin(phi). A phi that is not finite gives NaN,
-    except where tan(theta/2)^2 is 0 or theta is antipodal (pi there).
+    the same cos(phi) and sin(phi).
     """
     phi = np.asarray(phi, dtype=float)
     alpha = _alpha(theta, np.cos(phi), np.sin(phi))
@@ -286,10 +280,11 @@ def _check_omega_residual(wind, p, omega):
     Raises ArithmeticError when its largest residual exceeds
     CONSTRAINT_RESIDUAL_TOL; p and omega are floats or arrays of one shape.
     """
-    eps = wind.epsilon
-    resid = omega * omega - 2.0 * math.sqrt(2.0 * eps) * p * omega - 2.0 * (1.0 - eps)
-    # a float at the assembled angle, an array on the scan
-    resid = abs(resid) if isinstance(resid, float) else np.abs(resid).max()
+    resid = np.abs(
+        omega * omega
+        - 2.0 * np.sqrt(2.0 * wind.epsilon) * p * omega
+        - 2.0 * (1.0 - wind.epsilon)
+    ).max()
     if resid > CONSTRAINT_RESIDUAL_TOL:
         raise ArithmeticError(f"constraint residual {resid:.3e} on the voyage curve")
 
@@ -355,7 +350,7 @@ def principal_voyage_time(ctask, phis):
     omega = np.asarray(omega_of_phi(ctask.wind, phis), dtype=float)
     if ctask.theta >= np.pi - DEGENERATE_THETA_TOL:
         return np.full(phis.shape, np.pi) / omega
-    return _principal_angle(np.tan(ctask.theta / 2.0) ** 2, np.sin(phis)) / omega
+    return _principal_angle(ctask.theta, np.sin(phis)) / omega
 
 
 def _curve_point(ctask):
@@ -461,15 +456,14 @@ def _lab_answer(ctask, phi_star):
     from _curve_point, the scalar point the refinement evaluates, and the
     full-throttle residual is checked at phi_star. The orientation check is
     not repeated: the search has run it on every angle it can return.
-    h_total = a0 I + (omega/2) n . sigma for the lab axis n at phi_star,
-    with the bytes of pauli_compose.
+    h_total = a0 I + (omega/2) n . sigma for the lab axis n at phi_star.
     """
     omega, tau = _curve_point(ctask)(phi_star)
     c, s = math.cos(phi_star), math.sin(phi_star)
     x, y = _axis_xy(ctask.wind)
     _check_omega_residual(ctask.wind, x * c + y * s, omega)
-    ax, ay, az = (0.5 * omega * ctask.frame.to_lab([c, s, 0.0])).tolist()
-    h_total = _pauli_matrix(ctask.h0_trace_half, ax, ay, az)
+    axis_lab = ctask.frame.to_lab([c, s, 0.0])
+    h_total = pauli_compose(ctask.h0_trace_half, 0.5 * omega * axis_lab)
     return (float(phi_star), omega, tau, ctask.theta), h_total
 
 
@@ -531,16 +525,17 @@ def optimize(task):
     returned angle on assembly. A skipped half's angles are not evaluated,
     so neither check runs there.
 
-    The answer is then built in the lab frame (_lab_answer) and verified
-    once by solution_checks (_verified); solve_embedded builds a block
-    answer the same way and verifies only the embedded one.
+    The answer is built in the lab frame (_answer) and verified once by
+    solution_checks (_verified); solve_embedded builds a block answer with
+    _answer and verifies only the embedded one.
     """
+    return _verified(task, *_answer(task), "solution")
+
+
+def _answer(task):
+    """optimize's unverified answer: (answer, h_total) as _lab_answer returns them
+    at the control angle found by the search optimize describes."""
     ctask = canonicalize(task)
-    return _verified(task, *_lab_answer(ctask, _optimum_angle(ctask)), "solution")
-
-
-def _optimum_angle(ctask):
-    """optimize's control angle for a canonical task: scanned, refined and orientation-checked."""
     if ctask.wind.is_zero:
         # no wind: full throttle along the geodesic, no scan needed
         phi_star = np.pi / 2.0
@@ -568,4 +563,4 @@ def _optimum_angle(ctask):
         tau_best = min(c[1] for c in candidates)
         phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     alpha_of_phi(ctask.theta, np.asarray(seen))
-    return phi_star
+    return _lab_answer(ctask, phi_star)

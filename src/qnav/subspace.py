@@ -13,14 +13,7 @@ import numpy as np
 from .bloch import distinct_separation
 from .errors import NotInvariantError
 from .linalg import HermitianOperator, StateVector
-from .state_nav import (
-    NavigationTask,
-    _lab_answer,
-    _optimum_angle,
-    _verified,
-    canonicalize,
-    optimize,
-)
+from .state_nav import NavigationTask, _answer, _verified, optimize
 
 INVARIANCE_TOL = 1e-9
 
@@ -105,8 +98,7 @@ def _solve_reduced(task, red):
         psi_final=StateVector(basis.conj().T @ task.psi_final.amplitudes),
         h0=red.h0_block,
     )
-    ctask = canonicalize(sub_task)
-    answer, h_block = _lab_answer(ctask, _optimum_angle(ctask))
+    answer, h_block = _answer(sub_task)
 
     proj = basis @ basis.conj().T
     comp = np.eye(task.psi_initial.dim) - proj

@@ -22,7 +22,6 @@ from qnav.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     UNITARY_TOL,
-    _pauli_matrix,
     branch_generator,
     spectral_span,
     split_trace,
@@ -294,10 +293,20 @@ def test_hermitian_operator_rejects_large_drift():
 SIGNED_COEFFICIENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0)
 
 
-def test_pauli_matrix_is_pauli_compose_bytewise(rng):
-    """The entry-by-entry 2x2 that assembles h_total has pauli_compose's bytes,
-    signed zeros included: every sign pattern of the special values, then
-    10^4 seeded coefficient sets, a third of them special."""
+def sigma_sum_matrix(a0, a):
+    """pauli_compose's matrix as written with the Pauli products:
+    a0 I + a[0] sigma_x + a[1] sigma_y + a[2] sigma_z."""
+    a = np.asarray(a, dtype=float)
+    m = float(a0) * np.eye(2, dtype=complex)
+    m += a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
+    return m
+
+
+def test_pauli_compose_is_the_sigma_sum_bytewise(rng):
+    """pauli_compose, written entry by entry, has the bytes of the Pauli
+    product sum after symmetrisation, signed zeros included: every sign
+    pattern of the special values, then 10^4 seeded coefficient sets, a
+    third of them special."""
     special = np.array(SIGNED_COEFFICIENTS)
     cases = [np.array(c) for c in itertools.product(SIGNED_COEFFICIENTS[:4] + (0.3, -0.3), repeat=4)]
     for _ in range(10_000):
@@ -306,8 +315,9 @@ def test_pauli_matrix_is_pauli_compose_bytewise(rng):
         c[pick] = rng.choice(special, size=int(pick.sum()))
         cases.append(c)
     for c in cases:
-        a0, ax, ay, az = c.tolist()
-        assert same_bits(_pauli_matrix(a0, ax, ay, az).matrix, pauli_compose(a0, c[1:]).matrix), c
+        want = HermitianOperator(sigma_sum_matrix(c[0], c[1:])).matrix
+        assert same_bits(pauli_compose(c[0], c[1:]).matrix, want), c
+        assert same_bits(pauli_compose(float(c[0]), c[1:].tolist()).matrix, want), c
 
 
 def two_adjoint_hermitian(m):

@@ -165,61 +165,35 @@ def test_alpha_geometric_components_match_stacked_vectors(rng):
 EDGE_SINES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308)
 EDGE_SINES += (1e-160, -1e-160, 1e-6, -1e-6, 1.0, -1.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0))
 sine_st = st.one_of(st.sampled_from(EDGE_SINES), st.floats(min_value=-1.0, max_value=1.0))
-# t2 = tan(theta/2)^2 from theta ~ 2e-9 to the antipodal cutoff, and 0
-t2_st = st.one_of(st.just(0.0), st.floats(min_value=1e-18, max_value=4e18))
-# theta = 0, thetas whose t2 underflows to 0, and the thetas of t2_st
-alpha_theta_st = st.one_of(
+# theta = 0, thetas whose tan(theta/2)^2 underflows to 0, and thetas whose
+# tan(theta/2)^2 runs from 1e-18 to 4e18
+principal_theta_st = st.one_of(
     st.just(0.0),
     st.floats(min_value=1e-300, max_value=1e-160),
-    t2_st.map(lambda t2: 2.0 * math.atan(math.sqrt(t2))),
+    st.floats(min_value=1e-18, max_value=4e18).map(lambda t2: 2.0 * math.atan(math.sqrt(t2))),
 )
 
 
-def clipped_principal_angle(t2, s):
+def clipped_principal_angle(theta, s):
     """_principal_angle as written with np.clip on its arccos argument."""
+    t2 = np.tan(theta / 2.0) ** 2
     g = (s * s - t2) / (s * s + t2)
     return np.arccos(np.clip(g, -1.0, 1.0))
 
 
-def three_way_alpha(theta, s):
-    """_alpha's orientation rule as written before its two-way form: the
-    clipped principal angle, 2 pi minus it where sin(phi) < 0, and pi exactly
-    where sin(phi) is a zero; the antipodal half turn first."""
-    if theta >= np.pi - DEGENERATE_THETA_TOL:
-        return np.full(s.shape, np.pi)
-    base = clipped_principal_angle(np.tan(theta / 2.0) ** 2, s)
-    return np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
-
-
-@given(s=sine_st, t2=t2_st)
+@given(theta=principal_theta_st, s=sine_st)
 @settings(max_examples=400, deadline=None)
-def test_principal_angle_needs_no_clip(s, t2):
+def test_principal_angle_needs_no_clip(theta, s):
     """The arccos argument never leaves [-1, 1] (0/0 aside, which is NaN
     either way), so the clip-free angle is the clipped one bit for bit."""
+    t2 = np.tan(theta / 2.0) ** 2
     for sines in (np.float64(s), np.array(s), np.full(3, s)):
         with np.errstate(invalid="ignore"):
             g = (sines * sines - t2) / (sines * sines + t2)
-            got = state_nav._principal_angle(t2, sines)
-            want = clipped_principal_angle(t2, sines)
+            got = state_nav._principal_angle(theta, sines)
+            want = clipped_principal_angle(theta, sines)
         assert np.all(np.abs(g) <= 1.0) or (s * s == 0.0 and t2 == 0.0)
         assert same_bits(got, want)
-
-
-@given(theta=alpha_theta_st, s=sine_st)
-@settings(max_examples=400, deadline=None)
-def test_alpha_branch_rule_is_the_three_way_rule(theta, s):
-    """_alpha's two-way rule for t2 > 0 and three-way rule for t2 = 0 give
-    the old three-way rule's bits, for 0-d and 1-d inputs. The orientation
-    check is switched off: only the branch rule is compared."""
-    c = math.sqrt(1.0 - s * s)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(state_nav, "_ORIENTATION_CHECK_MIN_SIN", np.inf)
-        for shape in ((), (3,)):
-            sines, cosines = np.full(shape, s), np.full(shape, c)
-            with np.errstate(invalid="ignore"):
-                got = state_nav._alpha(theta, cosines, sines)
-                want = three_way_alpha(theta, sines)
-            assert same_bits(got, want)
 
 
 def test_alpha_geometric_scalar_is_float():
