@@ -30,7 +30,6 @@ _EXPORTS = {
     "pauli_decompose": "linalg",
     "hs_trace_product": "linalg",
     "expm_unitary": "linalg",
-    "CanonicalFrame": "bloch",
     "WindSpec": "bloch",
     "state_to_bloch": "bloch",
     "angular_separation": "bloch",
@@ -38,7 +37,6 @@ _EXPORTS = {
     "transform_wind": "bloch",
     "wind_operator": "bloch",
     "NavigationTask": "state_nav",
-    "NavigationSolution": "state_nav",
     "VoyageCurve": "state_nav",
     "omega_of_phi": "state_nav",
     "rho_of_phi": "state_nav",
@@ -47,14 +45,11 @@ _EXPORTS = {
     "sweep": "state_nav",
     "optimize": "state_nav",
     "GateTask": "gate_nav",
-    "GateSolution": "gate_nav",
     "solve_gate": "gate_nav",
     "solve_gate_min_branch": "gate_nav",
     "branch_survey": "gate_nav",
-    "SubspaceReduction": "subspace",
     "detect_and_reduce": "subspace",
     "solve_embedded": "subspace",
-    "PassageResult": "oracle",
     "first_passage": "oracle",
     "fidelity_curve": "oracle",
     "gate_mismatch": "oracle",

@@ -163,7 +163,7 @@ class WindSpec:
 
     def __post_init__(self):
         eps = float(self.epsilon)
-        if eps < 0.0:
+        if not eps >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {eps}")
         require_wind_below_budget(eps)
         object.__setattr__(self, "epsilon", eps)
@@ -176,7 +176,7 @@ class WindSpec:
         if ax.shape != (3,):
             raise DimensionError(f"axis must have shape (3,), got {ax.shape}")
         norm = _norm(ax)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"axis norm {norm!r} deviates from 1 beyond 1e-12")
         ax = ax / norm
         ax.setflags(write=False)

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
 from .linalg import HermitianOperator, spectral_span
-from .oracle import HERMITIAN_TOL, first_passage, solution_checks
+from .oracle import HERMITIAN_TOL, _sample_step, first_passage, solution_checks
 from .state_nav import DEFAULT_GRID_POINTS, optimize, rho_of_phi, sweep
 from .subspace import _solve_reduced, detect_and_reduce
 from .taskio import (
@@ -78,8 +78,7 @@ def _oracle_enabled(args, loaded):
 
 def _oracle_block(solution, task):
     """Independent first-passage cross-check of a transport solution."""
-    span = spectral_span(solution.h_total)
-    dt = math.pi * 1e-3 / span if span > 1e-12 else None
+    dt = _sample_step(spectral_span(solution.h_total))
     t_max = 1.5 * solution.tau_star + (10.0 * dt if dt else 1.0)
     result = first_passage(
         solution.h_total, task.psi_initial, task.psi_final, t_max=t_max, dt=dt

@@ -24,7 +24,7 @@ from .linalg import (
     split_background,
     unitary_eigenphases,
 )
-from .oracle import require_passed, solution_checks
+from .oracle import checked_control
 
 # tr(X^2) at or below this is treated as the identity relation
 NOOP_TRACE_TOL = 1e-20
@@ -171,12 +171,10 @@ def _solve_on_branch(task, x, offs, su_phase):
     t_voyage = _voyage_time(a, b, c)
 
     h_total = HermitianOperator(x.matrix / t_voyage + h0_trace_half * np.eye(n))
-    h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
     global_phase = h0_trace_half * t_voyage + su_phase
-    checks = solution_checks(
-        h_total, h_control, task.h0, t_voyage, gate=(task.u_initial, task.u_final, global_phase)
+    h_control, checks = checked_control(
+        h_total, task.h0, t_voyage, "gate", gate=(task.u_initial, task.u_final, global_phase)
     )
-    require_passed(checks, "gate")
     return GateSolution(
         voyage_time=float(t_voyage),
         h_total=h_total,

@@ -4,7 +4,7 @@ Samples the transfer fidelity f(t) = |<psi_f| e^{-i h t} |psi_i>|^2 on a
 uniform grid, brackets the first lobe that clears a coarse detection
 threshold, and refines the lobe peak by golden-section search. Nothing
 here touches the trigonometric navigator formulas; this module exists
-to check them from the outside. The solvers and `verify` run solution_checks.
+to check them from the outside. Solvers run checked_control; `verify` solution_checks.
 """
 
 import cmath
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import expm_unitary, hs_trace_product, spectral_span
+from .linalg import HermitianOperator, expm_unitary, hs_trace_product, spectral_span
 from .minimize import golden_min
 
 # coarse bracketing threshold; confirmation is also the solution fidelity bound
@@ -38,7 +38,7 @@ __all__ = [
     "fidelity_curve",
     "gate_mismatch",
     "solution_checks",
-    "require_passed",
+    "checked_control",
 ]
 
 
@@ -56,6 +56,11 @@ class PassageResult:
     reached: bool
 
 
+def _sample_step(span):
+    """The oracle's grid step for the eigenvalue spread span; None for a flat spectrum."""
+    return math.pi * 1e-3 / span if span > 1e-12 else None
+
+
 def _default_steps(h, t_max, dt):
     """Resolve grid defaults from the spectral spread of the generator.
 
@@ -67,10 +72,11 @@ def _default_steps(h, t_max, dt):
     if t_max is not None and dt is not None:
         return float(t_max), float(dt)
     span = spectral_span(h)
+    step = _sample_step(span)
     if dt is None:
-        dt = math.pi * 1e-3 / span if span > 1e-12 else (t_max or 1.0) / 1000.0
+        dt = step if step is not None else (t_max or 1.0) / 1000.0
     if t_max is None:
-        t_max = 1.05 * 2.0 * math.pi / span if span > 1e-12 else 1.0
+        t_max = 1.05 * 2.0 * math.pi / span if step is not None else 1.0
     return float(t_max), float(dt)
 
 
@@ -241,8 +247,12 @@ def solution_checks(h_total, h_control, h0, t, *, states=None, gate=None):
     return checks
 
 
-def require_passed(checks, what):
-    """Raise one ArithmeticError naming every failed check, if any failed."""
+def checked_control(h_total, h0, t, what, *, states=None, gate=None):
+    """(h_total - h0, solution_checks at time t) of a solver's answer h_total;
+    one ArithmeticError, prefixed by what, names every failed check."""
+    h_control = HermitianOperator(h_total.matrix - h0.matrix)
+    checks = solution_checks(h_total, h_control, h0, t, states=states, gate=gate)
     failed = [f"{name} ({c.detail})" for name, c in checks.items() if not c.passed]
     if failed:
         raise ArithmeticError(f"{what} verification failed: {', '.join(failed)}")
+    return h_control, checks

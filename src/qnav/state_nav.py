@@ -26,7 +26,7 @@ from .bloch import (
 from .errors import DimensionError
 from .linalg import HermitianOperator, StateVector, pauli_compose, split_background
 from .minimize import golden_min
-from .oracle import CONFIRM_THRESHOLD as FIDELITY_THRESHOLD, require_passed, solution_checks
+from .oracle import checked_control
 
 CONSTRAINT_RESIDUAL_TOL = 1e-10
 DEFAULT_GRID_POINTS = 4096
@@ -57,7 +57,6 @@ _PRUNE_MARGIN = 1e-3
 _ALPHA_ROUNDING = 2e-15
 
 __all__ = [
-    "FIDELITY_THRESHOLD",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_PHI_TOL",
     "MAX_SWEEP_POINTS",
@@ -381,7 +380,7 @@ def _curve_point(ctask):
             return omega, np.pi / omega
         s2 = s * s
         g = (s2 - t2) / (s2 + t2)
-        base = float(np.arccos(-1.0 if g < -1.0 else 1.0 if g > 1.0 else g))
+        base = float(np.arccos(g))
         alpha = base if s > 0.0 else two_pi - base if s < 0.0 else np.pi
         return omega, alpha / omega
 
@@ -469,17 +468,13 @@ def _lab_answer(ctask, phi_star):
 
 def _verified(task, answer, h_total, what):
     """NavigationSolution of answer = (phi_star, omega, tau, theta) and h_total,
-    once solution_checks pass for task.
-
-    h_control is h_total - task.h0. A failed check raises ArithmeticError
-    naming it, prefixed by what.
+    once checked_control passes it for task; a failed check raises
+    ArithmeticError naming it, prefixed by what.
     """
     phi_star, omega, tau, theta = answer
-    h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
-    checks = solution_checks(
-        h_total, h_control, task.h0, tau, states=(task.psi_initial, task.psi_final)
+    h_control, checks = checked_control(
+        h_total, task.h0, tau, what, states=(task.psi_initial, task.psi_final)
     )
-    require_passed(checks, what)
     return NavigationSolution(
         phi_star=phi_star,
         omega_star=omega,
@@ -526,7 +521,7 @@ def optimize(task):
     so neither check runs there.
 
     The answer is built in the lab frame (_answer) and verified once by
-    solution_checks (_verified); solve_embedded builds a block answer with
+    checked_control (_verified); solve_embedded builds a block answer with
     _answer and verifies only the embedded one.
     """
     return _verified(task, *_answer(task), "solution")

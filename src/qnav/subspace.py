@@ -81,7 +81,7 @@ def solve_embedded(task):
     background restricted to the orthogonal complement, so the control
     is supported on the block alone. The qubit task on h0_block is the
     solve's one background split and budget check. The block answer is
-    built but not verified: solution_checks runs once, on the embedded
+    built but not verified: checked_control runs once, on the embedded
     n x n answer, whose checks imply the block's up to the invariance
     leak. For n = 2 this defers to the direct solver before any reduction.
     """

@@ -260,3 +260,15 @@ def test_wind_spec_validation():
         WindSpec(epsilon=0.5, axis=np.array([0.0, 0.0, 2.0]))
     ok = WindSpec(epsilon=0.5, axis=np.array([0.0, 0.0, 1.0]))
     assert not ok.is_zero
+
+
+def test_wind_spec_rejects_nan():
+    """A NaN strength or axis fails the same checks as a negative strength or
+    a non-unit axis; an infinite strength is still too strong."""
+    z = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="^epsilon must be nonnegative, got nan$"):
+        WindSpec(epsilon=float("nan"), axis=z)
+    with pytest.raises(ValueError, match="^axis norm nan deviates from 1 beyond 1e-12$"):
+        WindSpec(epsilon=0.5, axis=np.array([np.nan, 0.0, 1.0]))
+    with pytest.raises(WindTooStrongError):
+        WindSpec(epsilon=float("inf"), axis=z)

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import qnav
 import qnav.cli
 import qnav.subspace
 from qnav.cli import main
+from qnav.linalg import HermitianOperator, StateVector, spectral_span
 from qnav.state_nav import MAX_SWEEP_POINTS, canonicalize, rho_of_phi, sweep
 from qnav.taskio import complex_pairs, load_task, matrix_pairs
 
@@ -383,7 +386,7 @@ def test_import_is_lazy():
     assert not_listed == []
 
     exported = [name for name in qnav.__all__ if name != "__version__"]
-    assert len(exported) == 43
+    assert len(exported) == 38
     for name in exported:
         value = getattr(qnav, name)
         assert value is getattr(sys.modules[value.__module__], name), name
@@ -447,6 +450,60 @@ def test_exit_code_wind_too_strong(tmp_path, capsys):
     task = write_json(tmp_path / "t.json", state_doc(epsilon=1.2))
     code, _ = run(capsys, ["solve-state", task])
     assert code == 3
+
+
+def test_nan_wind_is_a_wind_error(tmp_path, capsys):
+    """"epsilon": NaN (which json reads) or a NaN axis is refused as a wind
+    error with exit 2; "epsilon": Infinity is still too strong, exit 3."""
+    cases = [
+        (state_doc(epsilon=float("nan")), 2, "error: wind: epsilon must be nonnegative, got nan\n"),
+        (state_doc(axis=[float("nan"), 0.0, 1.0]), 2, "error: wind: axis norm nan deviates from 1 beyond 1e-12\n"),
+        (state_doc(epsilon=float("inf")), 3, "error: background trace norm inf reaches the unit control budget\n"),
+    ]
+    for k, (doc, want_code, want_err) in enumerate(cases):
+        code = main(["solve-state", write_json(tmp_path / f"t{k}.json", doc)])
+        assert (code, capsys.readouterr().err) == (want_code, want_err)
+
+
+def written_out_oracle_window(h_total, tau_star):
+    """(t_max, dt) of the CLI's oracle block, its arithmetic written out."""
+    span = spectral_span(h_total)
+    dt = math.pi * 1e-3 / span if span > 1e-12 else None
+    return 1.5 * tau_star + (10.0 * dt if dt else 1.0), dt
+
+
+def test_oracle_block_window_is_the_written_out_rule(monkeypatch, capsys):
+    """The (t_max, dt) that _oracle_block hands first_passage equal the
+    written-out window bit for bit: on the reference state and subspace
+    tasks (the gate task takes no oracle block), and with dt = None on a
+    flat spectrum."""
+    calls = []
+    real = qnav.cli.first_passage
+
+    def spy(h, psi_i, psi_f, t_max=None, dt=None):
+        calls.append((h, t_max, dt))
+        return real(h, psi_i, psi_f, t_max=t_max, dt=dt)
+
+    def bits(window):
+        return [None if x is None else float(x).hex() for x in window]
+
+    monkeypatch.setattr(qnav.cli, "first_passage", spy)
+    for name in ("state.json", "subspace.json"):
+        code, out = run(capsys, ["solve-state", str(REFERENCE / name)])
+        assert code == 0
+        (h, t_max, dt), = calls
+        assert dt is not None
+        assert bits((t_max, dt)) == bits(written_out_oracle_window(h, json.loads(out)["tau_star"]))
+        calls.clear()
+
+    flat = HermitianOperator(0.3 * np.eye(2))
+    psi = StateVector([1.0, 0.0])
+    qnav.cli._oracle_block(
+        SimpleNamespace(h_total=flat, tau_star=0.7), SimpleNamespace(psi_initial=psi, psi_final=psi)
+    )
+    (_, t_max, dt), = calls
+    assert dt is None
+    assert bits((t_max, dt)) == bits(written_out_oracle_window(flat, 0.7))
 
 
 def test_exit_code_degenerate(tmp_path, capsys):

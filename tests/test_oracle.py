@@ -288,7 +288,7 @@ def test_first_passage_skips_the_span_when_both_steps_are_given(monkeypatch):
     psi_i, psi_f = StateVector([1.0, 0.0]), StateVector([np.cos(0.4), np.sin(0.4)])
     # dt as _default_steps derives it from the spectral span
     defaulted = first_passage(h, psi_i, psi_f, t_max=2.0)
-    dt = np.pi * 1e-3 / spectral_span(h)
+    dt = qnav.oracle._sample_step(spectral_span(h))
     calls = []
     real = qnav.oracle.spectral_span
     monkeypatch.setattr(qnav.oracle, "spectral_span", lambda m: calls.append(1) or real(m))

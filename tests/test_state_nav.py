@@ -26,7 +26,7 @@ from qnav.bloch import DEGENERATE_THETA_TOL, WindSpec
 from qnav.errors import QnavError
 from qnav.linalg import spectral_span
 from qnav.minimize import golden_min
-from qnav.oracle import first_passage
+from qnav.oracle import _sample_step, first_passage
 from qnav.state_nav import (
     DEFAULT_GRID_POINTS,
     DEFAULT_PHI_TOL,
@@ -194,6 +194,17 @@ def test_principal_angle_needs_no_clip(theta, s):
             want = clipped_principal_angle(theta, sines)
         assert np.all(np.abs(g) <= 1.0) or (s * s == 0.0 and t2 == 0.0)
         assert same_bits(got, want)
+    # the scalar twin _curve_point at phi = asin(s); a wind of strength 1/2
+    # along z gives p = 0 and omega = 1, so its tau is alpha itself
+    wind = WindSpec(epsilon=0.5, axis=np.array([0.0, 0.0, 1.0]))
+    ctask = CanonicalStateTask(theta=theta, frame=None, wind=wind, h0_trace_half=0.0)
+    phi = math.asin(s)
+    sin_phi = math.sin(phi)
+    if sin_phi * sin_phi + t2 > 0.0:  # 0/0 aside
+        base = float(clipped_principal_angle(theta, np.float64(sin_phi)))
+        antipodal = theta >= np.pi - DEGENERATE_THETA_TOL
+        alpha = np.pi if antipodal or sin_phi == 0.0 else base if sin_phi > 0.0 else 2.0 * np.pi - base
+        assert same_bits(state_nav._curve_point(ctask)(phi), (1.0, alpha))
 
 
 def test_alpha_geometric_scalar_is_float():
@@ -1052,7 +1063,7 @@ def test_near_antipodal_task_is_solved_once_its_losing_half_is_skipped():
         unpruned_optimize(task)
     sol = optimize(task)
     assert sol.fidelity_check >= 1.0 - 1e-9
-    dt = np.pi * 1e-3 / spectral_span(sol.h_total)
+    dt = _sample_step(spectral_span(sol.h_total))
     passage = first_passage(sol.h_total, psi_i, psi_f, t_max=1.5 * sol.tau_star + 10.0 * dt, dt=dt)
     assert passage.reached
     assert abs(passage.t_first - sol.tau_star) <= 1e-6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qnav.linalg
+import qnav.oracle
 import qnav.state_nav
 import qnav.subspace
 from qnav import (
@@ -17,7 +18,7 @@ from qnav import (
     optimize,
     solve_embedded,
 )
-from qnav.oracle import require_passed, solution_checks
+from qnav.oracle import checked_control
 
 from conftest import (
     haar_unitary,
@@ -210,11 +211,9 @@ def two_check_solve_embedded(task):
     h_total = HermitianOperator(
         basis @ sol2.h_total.matrix @ basis.conj().T + comp @ task.h0.matrix @ comp
     )
-    h_control = HermitianOperator(h_total.matrix - task.h0.matrix)
-    checks = solution_checks(
-        h_total, h_control, task.h0, sol2.tau_star, states=(task.psi_initial, task.psi_final)
+    h_control, checks = checked_control(
+        h_total, task.h0, sol2.tau_star, "embedded", states=(task.psi_initial, task.psi_final)
     )
-    require_passed(checks, "embedded")
     return replace(
         sol2,
         h_total=h_total,
@@ -249,7 +248,7 @@ def test_embedded_solve_verifies_once(n, rng, monkeypatch):
         want = two_check_solve_embedded(task)
         with monkeypatch.context() as mp:
             calls = []
-            record_calls(mp, qnav.state_nav, "solution_checks", calls)
+            record_calls(mp, qnav.oracle, "solution_checks", calls)
             got = solve_embedded(task)
         assert len(calls) == 1
         assert same_bits(calls[0][1].matrix, got.h_total.matrix)
