@@ -16,7 +16,7 @@ from .linalg import (
     split_trace,
 )
 
-# below this separation the task is degenerate, above pi minus it antipodal
+# below this separation the task is degenerate, and within it of pi antipodal
 DEGENERATE_THETA_TOL = 1e-9
 
 __all__ = [
@@ -64,6 +64,11 @@ def distinct_separation(psi_i, psi_f):
             f"states coincide (separation {theta:.3e}); tau = 0, no control needed"
         )
     return overlap, theta
+
+
+def _antipodal(theta):
+    """Whether separation theta counts as antipodal, within DEGENERATE_THETA_TOL of pi."""
+    return theta >= np.pi - DEGENERATE_THETA_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +140,7 @@ def build_canonical_frame(psi_i, psi_f):
     _, theta = distinct_separation(psi_i, psi_f)
     z_ax = b_i - b_f
     z_ax = z_ax / _norm(z_ax)
-    antipodal = theta > np.pi - DEGENERATE_THETA_TOL
+    antipodal = _antipodal(theta)
     if antipodal:
         x_ax = _tiebreak_unit_orthogonal(z_ax)
     else:

@@ -10,10 +10,7 @@ strong, 4 degenerate task, 5 no-op gate.
 """
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .bloch import angular_separation
@@ -27,9 +24,8 @@ from .errors import (
     TaskFileError,
     WindTooStrongError,
 )
-from .gate_nav import branch_survey, solve_gate, solve_gate_min_branch
-from .linalg import HermitianOperator, spectral_span
-from .oracle import HERMITIAN_TOL, _sample_step, first_passage, solution_checks
+from .gate_nav import branch_survey, solve_gate_min_branch
+from .oracle import passage_check, result_checks
 from .state_nav import DEFAULT_GRID_POINTS, optimize, rho_of_phi, sweep
 from .subspace import _solve_reduced, detect_and_reduce
 from .taskio import (
@@ -40,14 +36,21 @@ from .taskio import (
     read_json_object,
 )
 
-ORACLE_TIME_TOL = 1e-6
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_WIND_TOO_STRONG = 3
 EXIT_DEGENERATE = 4
 EXIT_NOOP_GATE = 5
+# (exception types, exit code): an error exits with the first row it matches
+_EXIT_CODES = (
+    ((TaskFileError, NotUnitaryError, NotHermitianError, DimensionError), EXIT_INVALID_INPUT),
+    ((NotInvariantError, ValueError), EXIT_INVALID_INPUT),
+    ((WindTooStrongError,), EXIT_WIND_TOO_STRONG),
+    ((DegenerateTaskError,), EXIT_DEGENERATE),
+    ((NoOpGateError,), EXIT_NOOP_GATE),
+    ((ArithmeticError,), EXIT_VERIFY_FAILED),
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -64,10 +67,6 @@ def _meta():
     return {"tool": "qnav", "version": __version__}
 
 
-def _finite_or_none(x):
-    return float(x) if math.isfinite(x) else None
-
-
 def _oracle_enabled(args, loaded):
     if args.oracle is not None:
         return args.oracle
@@ -78,23 +77,16 @@ def _oracle_enabled(args, loaded):
 
 def _oracle_block(solution, task):
     """Independent first-passage cross-check of a transport solution."""
-    dt = _sample_step(spectral_span(solution.h_total))
-    t_max = 1.5 * solution.tau_star + (10.0 * dt if dt else 1.0)
-    result = first_passage(
-        solution.h_total, task.psi_initial, task.psi_final, t_max=t_max, dt=dt
-    )
-    gap = (
-        abs(result.t_first - solution.tau_star)
-        if math.isfinite(result.t_first)
-        else None
+    result, gap, agrees = passage_check(
+        solution.h_total, task.psi_initial, task.psi_final, solution.tau_star
     )
     return {
         "enabled": True,
-        "t_first": _finite_or_none(result.t_first),
+        "t_first": result.t_first if result.reached else None,
         "peak_fidelity": result.peak_fidelity,
         "reached": result.reached,
         "time_gap": gap,
-        "agrees": bool(result.reached and gap is not None and gap <= ORACLE_TIME_TOL),
+        "agrees": agrees,
     }
 
 
@@ -157,10 +149,7 @@ def cmd_solve_gate(args):
     task = loaded.task
     if args.max_branch < 0:
         raise TaskFileError(f"--max-branch must be >= 0, got {args.max_branch}")
-    if args.max_branch == 0:
-        solution = solve_gate(task)
-    else:
-        solution = solve_gate_min_branch(task, args.max_branch)
+    solution = solve_gate_min_branch(task, args.max_branch)
 
     doc = {
         "mode": "gate",
@@ -198,10 +187,6 @@ def _result_float(doc, key):
         raise TaskFileError(f"result {key}: {exc}") from exc
 
 
-def _hermitize(m):
-    return HermitianOperator(0.5 * (m + m.conj().T))
-
-
 def cmd_verify(args):
     result = read_json_object(args.result, "result")
     loaded = load_task(args.task)
@@ -210,32 +195,23 @@ def cmd_verify(args):
         raise TaskFileError(
             f"result mode {mode!r} does not match task mode {loaded.mode!r}"
         )
-    h_total_raw = _result_matrix(result, "h_total")
-    h_control_raw = _result_matrix(result, "h_control")
-    h0 = loaded.task.h0
-    for raw in (h_total_raw, h_control_raw):
-        if raw.shape[0] != h0.dim:
-            raise TaskFileError(f"result dim {raw.shape[0]} does not match task dim {h0.dim}")
-
-    herm_drift = max(
-        float(np.max(np.abs(h_total_raw - h_total_raw.conj().T))),
-        float(np.max(np.abs(h_control_raw - h_control_raw.conj().T))),
-    )
-    h_total, h_control = _hermitize(h_total_raw), _hermitize(h_control_raw)
+    h_total = _result_matrix(result, "h_total")
+    h_control = _result_matrix(result, "h_control")
     task = loaded.task
+    for m in (h_total, h_control):
+        if m.shape[0] != task.h0.dim:
+            raise TaskFileError(f"result dim {m.shape[0]} does not match task dim {task.h0.dim}")
     if mode == "gate":
         t = _result_float(result, "voyage_time")
         target = {"gate": (task.u_initial, task.u_final, _result_float(result, "global_phase"))}
     else:
         t = _result_float(result, "tau_star")
         target = {"states": (task.psi_initial, task.psi_final)}
-    checks = solution_checks(h_total, h_control, h0, t, **target)
+    checks = result_checks(h_total, h_control, task.h0, t, **target)
 
-    lines = [("hermitian", herm_drift <= HERMITIAN_TOL, f"drift {herm_drift:.3e}")]
-    lines += [(name, c.passed, c.detail) for name, c in checks.items()]
-    all_ok = all(ok for _, ok, _ in lines)
-    for name, ok, detail in lines:
-        sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
+    all_ok = all(c.passed for c in checks.values())
+    for name, c in checks.items():
+        sys.stdout.write(f"{name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})\n")
     sys.stdout.write(f"verify: {'PASS' if all_ok else 'FAIL'}\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
@@ -287,25 +263,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        TaskFileError,
-        NotUnitaryError,
-        NotHermitianError,
-        DimensionError,
-        NotInvariantError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except WindTooStrongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WIND_TOO_STRONG
-    except DegenerateTaskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NoOpGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOOP_GATE
-    except ArithmeticError as exc:
-        print(f"error: internal verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
+        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+        prefix = "internal verification failed: " if code == EXIT_VERIFY_FAILED else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code

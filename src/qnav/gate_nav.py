@@ -122,11 +122,11 @@ def _canonical_phases(task):
     su_phase = det_angle / n
     lam, q = unitary_eigenphases(rel * np.exp(-1j * su_phase))
     wraps = int(round(float(np.sum(lam)) / (2.0 * math.pi)))
-    lam = lam.copy()
+    # lam is ascending, so its largest and smallest phases are its two ends
     if wraps > 0:
-        lam[np.argsort(lam)[-wraps:]] -= 2.0 * math.pi
+        lam[n - wraps :] -= 2.0 * math.pi
     elif wraps < 0:
-        lam[np.argsort(lam)[: -wraps]] += 2.0 * math.pi
+        lam[:-wraps] += 2.0 * math.pi
     return lam, q, su_phase
 
 

@@ -4,7 +4,8 @@ Samples the transfer fidelity f(t) = |<psi_f| e^{-i h t} |psi_i>|^2 on a
 uniform grid, brackets the first lobe that clears a coarse detection
 threshold, and refines the lobe peak by golden-section search. Nothing
 here touches the trigonometric navigator formulas; this module exists
-to check them from the outside. Solvers run checked_control; `verify` solution_checks.
+to check them from the outside. Solvers run checked_control; the CLI's
+oracle block runs passage_check, and `verify` result_checks.
 """
 
 import cmath
@@ -24,6 +25,7 @@ REFINE_XTOL = 1e-12
 # largest sampled grid (t_max/dt + 1 points); a bigger one is refused before allocation
 MAX_ORACLE_SAMPLES = 10**7
 
+ORACLE_TIME_TOL = 1e-6  # largest |t_first - tau| at which passage_check agrees
 HERMITIAN_TOL = 1e-10  # anti-Hermitian drift of a result read back by `verify`
 BUDGET_TOL = 1e-9
 TRACELESS_TOL = 1e-10
@@ -35,9 +37,11 @@ __all__ = [
     "PassageResult",
     "Check",
     "first_passage",
+    "passage_check",
     "fidelity_curve",
     "gate_mismatch",
     "solution_checks",
+    "result_checks",
     "checked_control",
 ]
 
@@ -173,7 +177,6 @@ def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
             reached=bool(reached),
         )
     best_peak = -1.0
-    best_time = math.inf
     i = 0
     while True:
         above = np.flatnonzero(f[i:] > DETECT_THRESHOLD)
@@ -187,7 +190,7 @@ def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
             j += 1
         t_peak, f_peak = _refine_peak(w, table, t[max(j - 1, 0)], t[min(j + 1, n - 1)])
         if f_peak > best_peak:
-            best_peak, best_time = f_peak, t_peak
+            best_peak = f_peak
         if f_peak >= CONFIRM_THRESHOLD:
             return PassageResult(t_first=t_peak, peak_fidelity=f_peak, reached=True)
         # skip the remainder of this lobe before searching again
@@ -202,6 +205,20 @@ def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
     if f_peak > best_peak:
         best_peak = f_peak
     return PassageResult(t_first=math.inf, peak_fidelity=float(best_peak), reached=False)
+
+
+def passage_check(h, psi_i, psi_f, tau):
+    """first_passage from psi_i to psi_f under h, checked against a solver's time tau.
+
+    The window is 1.5 tau plus ten sampling steps, or plus 1 with no step
+    for a flat spectrum. Returns (result, gap, agrees): gap = |t_first - tau|,
+    None when no lobe confirms, and agrees when one does within ORACLE_TIME_TOL.
+    """
+    dt = _sample_step(spectral_span(h))
+    t_max = 1.5 * tau + (10.0 * dt if dt else 1.0)
+    result = first_passage(h, psi_i, psi_f, t_max=t_max, dt=dt)
+    gap = abs(result.t_first - tau) if result.reached else None
+    return result, gap, bool(result.reached and gap <= ORACLE_TIME_TOL)
 
 
 def gate_mismatch(h, u_initial, u_final, t, global_phase=0.0):
@@ -244,6 +261,17 @@ def solution_checks(h_total, h_control, h0, t, *, states=None, gate=None):
         u_i, u_f, phase = gate
         res = gate_mismatch(h_total, u_i, u_f, t, phase)
         checks["gate_relation"] = Check(res, res <= GATE_RELATION_TOL, "residual {:.3e}")
+    return checks
+
+
+def result_checks(h_total, h_control, h0, t, *, states=None, gate=None):
+    """Checks of raw matrices read back from a result document, keyed by name:
+    hermitian first, their largest anti-Hermitian drift against HERMITIAN_TOL,
+    then solution_checks on their Hermitian parts 0.5 (m + m^H)."""
+    drift = max(float(np.max(np.abs(m - m.conj().T))) for m in (h_total, h_control))
+    checks = {"hermitian": Check(drift, drift <= HERMITIAN_TOL, "drift {:.3e}")}
+    h_total, h_control = (HermitianOperator(0.5 * (m + m.conj().T)) for m in (h_total, h_control))
+    checks.update(solution_checks(h_total, h_control, h0, t, states=states, gate=gate))
     return checks
 
 

@@ -17,9 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (
-    DEGENERATE_THETA_TOL,
     CanonicalFrame,
     WindSpec,
+    _antipodal,
     _traceless_wind,
     build_canonical_frame,
 )
@@ -242,7 +242,7 @@ def _principal_angle(theta, s):
 
 def _alpha(theta, c, s):
     """alpha_of_phi for c = cos(phi) and s = sin(phi), float64 arrays (maybe 0-d)."""
-    if theta >= np.pi - DEGENERATE_THETA_TOL:
+    if _antipodal(theta):
         # antipodal states: every equatorial rotation needs a half turn
         return np.full(s.shape, np.pi)
     base = _principal_angle(theta, s)
@@ -347,7 +347,7 @@ def principal_voyage_time(ctask, phis):
     """
     phis = np.asarray(phis, dtype=float)
     omega = np.asarray(omega_of_phi(ctask.wind, phis), dtype=float)
-    if ctask.theta >= np.pi - DEGENERATE_THETA_TOL:
+    if _antipodal(ctask.theta):
         return np.full(phis.shape, np.pi) / omega
     return _principal_angle(ctask.theta, np.sin(phis)) / omega
 
@@ -368,7 +368,7 @@ def _curve_point(ctask):
     two_eps = 2.0 * eps
     slack = 2.0 * (1.0 - eps)
     gain = math.sqrt(two_eps)
-    antipodal = ctask.theta >= np.pi - DEGENERATE_THETA_TOL
+    antipodal = _antipodal(ctask.theta)
     t2 = float(np.tan(ctask.theta / 2.0) ** 2)
     two_pi = 2.0 * np.pi
 
@@ -439,7 +439,7 @@ def _half_bounds(ctask):
     """
     x, y = _axis_xy(ctask.wind)
     r = math.hypot(x, y)
-    if ctask.theta >= np.pi - DEGENERATE_THETA_TOL:
+    if _antipodal(ctask.theta):
         first_floor = np.pi
     else:
         first_floor = ctask.theta - _ALPHA_ROUNDING / math.sin(ctask.theta)

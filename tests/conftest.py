@@ -70,6 +70,12 @@ def haar_unitary(rng, dim=2):
     return q * (d / np.abs(d))
 
 
+def qft(n):
+    """The n-level quantum Fourier transform."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
 def random_traceless_hermitian(rng, dim=2, strength=None):
     """Traceless Hermitian with tr(h^2) = strength (default: leave scale alone)."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -11,13 +11,21 @@ import pytest
 
 import qnav
 import qnav.cli
+import qnav.gate_nav
+import qnav.oracle
 import qnav.subspace
 from qnav.cli import main
 from qnav.linalg import HermitianOperator, StateVector, spectral_span
 from qnav.state_nav import MAX_SWEEP_POINTS, canonicalize, rho_of_phi, sweep
 from qnav.taskio import complex_pairs, load_task, matrix_pairs
 
-from conftest import benchmark_axis, record_calls, symmetric_pair
+from conftest import (
+    benchmark_axis,
+    haar_unitary,
+    random_traceless_hermitian,
+    record_calls,
+    symmetric_pair,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -238,13 +246,43 @@ def test_identity_gate_exit_paths(tmp_path, capsys):
     doc = gate_doc()
     doc["u_final"] = matrix_pairs(np.eye(2))
     task = write_json(tmp_path / "g.json", doc)
-    code, _ = run(capsys, ["solve-gate", task])
-    assert code == 5
+    assert main(["solve-gate", task]) == 5
+    assert capsys.readouterr().err == (
+        "error: gate relation is the identity on every admissible branch; raise max_offset\n"
+    )
     code, out = run(capsys, ["solve-gate", task, "--max-branch", "1"])
     assert code == 0
     assert json.loads(out)["voyage_time"] == pytest.approx(
         4.0 * np.pi * (np.sqrt(2.0) - 1.0), abs=1e-9
     )
+
+
+def test_solve_gate_takes_one_path_with_solve_gate_bytes(tmp_path, capsys, monkeypatch):
+    """solve-gate without --max-branch solves through solve_gate_min_branch
+    alone and prints, byte for byte, what solve_gate's answer prints: on the
+    reference gate, -I (tied phases), and Haar gates of n = 2 to 4."""
+    rng = np.random.default_rng(19)
+    minus_identity = gate_doc()
+    minus_identity["u_final"] = matrix_pairs(-np.eye(2))
+    tasks = [str(REFERENCE / "gate.json"), write_json(tmp_path / "minus_i.json", minus_identity)]
+    for n in (2, 3, 4):
+        doc = {
+            "mode": "gate",
+            "u_initial": matrix_pairs(np.eye(n)),
+            "u_final": matrix_pairs(haar_unitary(rng, n)),
+            "wind": {"matrix": matrix_pairs(random_traceless_hermitian(rng, n, 0.4).matrix)},
+        }
+        tasks.append(write_json(tmp_path / f"haar{n}.json", doc))
+    for task in tasks:
+        calls = []
+        with monkeypatch.context() as mp:
+            record_calls(mp, qnav.cli, "solve_gate_min_branch", calls)
+            once = run(capsys, ["solve-gate", task])
+        assert once[0] == 0
+        assert [name for name, _ in calls] == ["qnav.cli.solve_gate_min_branch"]
+        with monkeypatch.context() as mp:
+            mp.setattr(qnav.cli, "solve_gate_min_branch", lambda t, m: qnav.gate_nav.solve_gate(t))
+            assert run(capsys, ["solve-gate", task]) == once
 
 
 def test_subspace_solve_reduces_once(monkeypatch, capsys):
@@ -310,6 +348,44 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     code, out = run(capsys, ["verify", slow, task])
     assert code == 1
     assert "fidelity: FAIL" in out
+
+
+def written_out_verify_lines(doc, task, time_key):
+    """verify's check lines for result doc against a state or gate task, its
+    rule written out: the largest anti-Hermitian drift of the two matrices
+    against 1e-10, then solution_checks on their Hermitian parts."""
+    raw = [np.asarray(doc[k], dtype=float) for k in ("h_total", "h_control")]
+    raw = [m[:, :, 0] + 1j * m[:, :, 1] for m in raw]
+    drift = max(float(np.max(np.abs(m - m.conj().T))) for m in raw)
+    h_total, h_control = (HermitianOperator(0.5 * (m + m.conj().T)) for m in raw)
+    if "global_phase" in doc:
+        target = {"gate": (task.u_initial, task.u_final, doc["global_phase"])}
+    else:
+        target = {"states": (task.psi_initial, task.psi_final)}
+    checks = qnav.oracle.solution_checks(h_total, h_control, task.h0, doc[time_key], **target)
+    lines = [("hermitian", drift <= 1e-10, f"drift {drift:.3e}")]
+    lines += [(name, c.passed, c.detail) for name, c in checks.items()]
+    return "".join(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n" for name, ok, detail in lines)
+
+
+def test_verify_lines_are_the_written_out_rule(tmp_path, capsys):
+    """verify prints, through the oracle's result_checks, the lines of the
+    written-out rule on a clean, a drifted and a tampered result, of a state
+    and of a gate task."""
+    state = write_json(tmp_path / "t.json", state_doc())
+    gate = write_json(tmp_path / "g.json", gate_doc())
+    for task, command, time_key in ((state, "solve-state", "tau_star"), (gate, "solve-gate", "voyage_time")):
+        result = tmp_path / "r.json"
+        assert main([command, task, "--out", str(result)]) == 0
+        clean = json.loads(result.read_text())
+        drifted = json.loads(result.read_text())
+        drifted["h_total"][0][1][1] += 1e-8
+        tampered = json.loads(result.read_text())
+        tampered["h_control"] = (np.asarray(tampered["h_control"]) * 1.001).tolist()
+        for doc, want_code in ((clean, 0), (drifted, 1), (tampered, 1)):
+            code, out = run(capsys, ["verify", write_json(tmp_path / "v.json", doc), task])
+            lines = written_out_verify_lines(doc, load_task(task).task, time_key)
+            assert (code, out) == (want_code, lines + f"verify: {'PASS' if code == 0 else 'FAIL'}\n")
 
 
 def test_verify_gate_result(tmp_path, capsys):
@@ -473,12 +549,12 @@ def written_out_oracle_window(h_total, tau_star):
 
 
 def test_oracle_block_window_is_the_written_out_rule(monkeypatch, capsys):
-    """The (t_max, dt) that _oracle_block hands first_passage equal the
-    written-out window bit for bit: on the reference state and subspace
-    tasks (the gate task takes no oracle block), and with dt = None on a
-    flat spectrum."""
+    """The (t_max, dt) that _oracle_block hands first_passage, through the
+    oracle's passage_check, equal the written-out window bit for bit: on the
+    reference state and subspace tasks (the gate task takes no oracle block),
+    and with dt = None on a flat spectrum."""
     calls = []
-    real = qnav.cli.first_passage
+    real = qnav.oracle.first_passage
 
     def spy(h, psi_i, psi_f, t_max=None, dt=None):
         calls.append((h, t_max, dt))
@@ -487,7 +563,7 @@ def test_oracle_block_window_is_the_written_out_rule(monkeypatch, capsys):
     def bits(window):
         return [None if x is None else float(x).hex() for x in window]
 
-    monkeypatch.setattr(qnav.cli, "first_passage", spy)
+    monkeypatch.setattr(qnav.oracle, "first_passage", spy)
     for name in ("state.json", "subspace.json"):
         code, out = run(capsys, ["solve-state", str(REFERENCE / name)])
         assert code == 0
@@ -504,6 +580,16 @@ def test_oracle_block_window_is_the_written_out_rule(monkeypatch, capsys):
     (_, t_max, dt), = calls
     assert dt is None
     assert bits((t_max, dt)) == bits(written_out_oracle_window(flat, 0.7))
+
+
+def test_solver_verification_failure_exits_one(monkeypatch, tmp_path, capsys):
+    """A solver's ArithmeticError, here a failed budget check, exits 1 with
+    the internal-verification prefix."""
+    monkeypatch.setattr(qnav.oracle, "BUDGET_TOL", -1.0)
+    assert main(["solve-state", write_json(tmp_path / "t.json", state_doc())]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: internal verification failed: solution verification failed: control_budget"
+    )
 
 
 def test_exit_code_degenerate(tmp_path, capsys):

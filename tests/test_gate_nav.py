@@ -39,6 +39,7 @@ from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_trace
 from conftest import (
     haar_state,
     haar_unitary,
+    qft,
     random_traceless_hermitian,
     record_calls,
     wind_from_axis,
@@ -486,3 +487,34 @@ def test_det_minus_one_conjugations_pick_one_coset(rng, gate):
     assert sides == {-1.0, 1.0}
     assert len(branches) == 1
     np.testing.assert_allclose(times, times[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "gate, wraps", [(qft(8), -1), (-np.eye(2), 1)], ids=["qft8", "minus_identity"]
+)
+def test_canonical_phases_shift_the_ends_of_the_sorted_phases(rng, monkeypatch, gate, wraps):
+    """Two gates with tied eigenphases whose zero-sum shift is nonzero: in 10
+    Haar bases the canonical phases are unitary_eigenphases' ascending phases
+    with 2 pi taken off the last wraps (or put on the first -wraps), bit for bit."""
+    n = gate.shape[0]
+    raw = []
+    real = qnav.gate_nav.unitary_eigenphases
+
+    def spy(u):
+        lam, q = real(u)
+        raw.append(lam.copy())
+        return lam, q
+
+    monkeypatch.setattr(qnav.gate_nav, "unitary_eigenphases", spy)
+    for _ in range(10):
+        v = haar_unitary(rng, n)
+        raw.clear()
+        task = gate_task(v @ gate @ v.conj().T, HermitianOperator(np.zeros((n, n))))
+        lam, _, _ = _canonical_phases(task)
+        (want,) = raw
+        assert round(float(np.sum(want)) / (2.0 * math.pi)) == wraps
+        if wraps > 0:
+            want[n - wraps :] -= 2.0 * math.pi
+        else:
+            want[:-wraps] += 2.0 * math.pi
+        assert want.tobytes() == lam.tobytes()

@@ -28,7 +28,7 @@ from qnav.linalg import (
     unitary_eigenphases,
 )
 
-from conftest import haar_unitary, random_traceless_hermitian, record_calls, same_bits
+from conftest import haar_unitary, qft, random_traceless_hermitian, record_calls, same_bits
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -199,11 +199,6 @@ def assert_eigenphase_contract(u):
     assert np.all(np.diff(lam) >= 0.0)
     assert np.max(np.abs(q.conj().T @ q - np.eye(lam.size))) <= 1e-13
     assert np.max(np.abs((q * np.exp(-1j * lam)) @ q.conj().T - u)) <= 1e-13
-
-
-def qft(n):
-    k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
 CNOT = np.eye(4)[[0, 1, 3, 2]]

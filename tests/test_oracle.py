@@ -64,6 +64,22 @@ def test_unreachable_target_reports_honestly():
     assert res.peak_fidelity == pytest.approx(0.5, abs=1e-6)
 
 
+def test_passage_check_gap_and_verdict():
+    """passage_check reports no gap and no agreement when nothing confirms,
+    and agrees with a solver's time exactly within ORACLE_TIME_TOL."""
+    axis = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    h = pauli_compose(0.0, 0.7 * axis)
+    res, gap, agrees = qnav.oracle.passage_check(h, StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), 3.0)
+    assert (res.reached, gap, agrees) == (False, None, False)
+    sol = optimize(benchmark_task())
+    task = benchmark_task()
+    res, gap, agrees = qnav.oracle.passage_check(sol.h_total, task.psi_initial, task.psi_final, sol.tau_star)
+    assert res.reached and agrees
+    assert gap == abs(res.t_first - sol.tau_star) <= qnav.oracle.ORACLE_TIME_TOL
+    for tau, want in ((res.t_first + 0.9e-6, True), (res.t_first + 1.1e-6, False)):
+        assert qnav.oracle.passage_check(sol.h_total, task.psi_initial, task.psi_final, tau)[2] is want
+
+
 def test_oracle_confirms_navigator_at_many_angles(rng):
     ctask = canonicalize(benchmark_task())
     task = benchmark_task()

@@ -12,6 +12,8 @@ from qnav import (
     StateVector,
     WindTooStrongError,
     alpha_of_phi,
+    angular_separation,
+    build_canonical_frame,
     expm_unitary,
     omega_of_phi,
     optimize,
@@ -24,9 +26,8 @@ from qnav import (
 from qnav import state_nav, subspace
 from qnav.bloch import DEGENERATE_THETA_TOL, WindSpec
 from qnav.errors import QnavError
-from qnav.linalg import spectral_span
 from qnav.minimize import golden_min
-from qnav.oracle import _sample_step, first_passage
+from qnav.oracle import passage_check
 from qnav.state_nav import (
     DEFAULT_GRID_POINTS,
     DEFAULT_PHI_TOL,
@@ -44,6 +45,7 @@ from conftest import (
     haar_unitary,
     make_task,
     random_unit_axis,
+    record_calls,
     same_bits,
     symmetric_pair,
     wind_from_axis,
@@ -111,6 +113,42 @@ def test_alpha_trivial_cases():
 def test_alpha_antipodal_is_half_turn():
     phis = np.linspace(0.0, 2.0 * np.pi, 33)
     assert np.allclose(alpha_of_phi(np.pi, phis), np.pi)
+
+
+def pair_at_separation(theta):
+    """States (e0, r e0 + sqrt(1 - r^2) e1) whose computed separation is theta
+    exactly, found by bisection on r; theta must lie within 2e-8 of pi."""
+    def pair(r):
+        return StateVector([1.0, 0.0]), StateVector([r, math.sqrt(1.0 - r * r)])
+
+    lo, hi = 0.0, 1e-8  # the separation falls as r grows
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        got = angular_separation(*pair(mid))
+        if got == theta:
+            return pair(mid)
+        lo, hi = (mid, hi) if got > theta else (lo, mid)
+    raise AssertionError(f"no pair at separation {theta!r}")
+
+
+def test_frame_and_alpha_share_the_antipodal_rule(monkeypatch):
+    """At the float pi - DEGENERATE_THETA_TOL and its two neighbours, the frame
+    takes its antipodal tie-break exactly when alpha_of_phi takes its half
+    turn: pi at every angle, with no orientation check run."""
+    edge = np.pi - DEGENERATE_THETA_TOL
+    phis = np.linspace(0.0, 2.0 * np.pi, 17)
+    checks = []
+    record_calls(monkeypatch, state_nav, "_alpha_geometric", checks)
+    for theta in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)):
+        frame = build_canonical_frame(*pair_at_separation(theta))
+        assert frame.theta == theta
+        checks.clear()
+        try:
+            alpha = alpha_of_phi(theta, phis)
+        except ArithmeticError:  # the near-antipodal false alarm of the check
+            alpha = None
+        half_turn = not checks and alpha is not None and bool(np.all(alpha == np.pi))
+        assert frame.antipodal_tiebreak == half_turn == (theta >= edge)
 
 
 def test_alpha_orientation_consistency(rng):
@@ -1063,10 +1101,9 @@ def test_near_antipodal_task_is_solved_once_its_losing_half_is_skipped():
         unpruned_optimize(task)
     sol = optimize(task)
     assert sol.fidelity_check >= 1.0 - 1e-9
-    dt = _sample_step(spectral_span(sol.h_total))
-    passage = first_passage(sol.h_total, psi_i, psi_f, t_max=1.5 * sol.tau_star + 10.0 * dt, dt=dt)
+    passage, _, agrees = passage_check(sol.h_total, psi_i, psi_f, sol.tau_star)
     assert passage.reached
-    assert abs(passage.t_first - sol.tau_star) <= 1e-6
+    assert agrees
 
 
 def test_optimize_degenerate_task():
