@@ -26,8 +26,8 @@ from .errors import (
 )
 from .gate_nav import branch_survey, solve_gate_min_branch
 from .oracle import passage_check, result_checks
-from .state_nav import DEFAULT_GRID_POINTS, optimize, rho_of_phi, sweep
-from .subspace import _solve_reduced, detect_and_reduce
+from .state_nav import DEFAULT_GRID_POINTS, rho_of_phi, sweep
+from .subspace import detect_and_reduce, solve_embedded
 from .taskio import (
     dumps_result,
     load_task,
@@ -98,16 +98,11 @@ def cmd_solve_state(args):
 
     doc = {"mode": loaded.mode, "meta": _meta()}
     if loaded.mode == "subspace":
-        # one reduction serves the output block and the solve
-        reduction = detect_and_reduce(task)
         doc["subspace"] = {
             "dim": task.psi_initial.dim,
-            "invariance_residual": reduction.invariance_residual,
+            "invariance_residual": detect_and_reduce(task).invariance_residual,
         }
-        # as in solve_embedded, optimize solves a qubit task directly
-        solution = _solve_reduced(task, reduction) if task.psi_initial.dim > 2 else optimize(task)
-    else:
-        solution = optimize(task)
+    solution = solve_embedded(task)
 
     doc.update(
         {

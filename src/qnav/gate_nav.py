@@ -280,8 +280,7 @@ def solve_gate_min_branch(task, max_offset):
     (lam, q, su_phase), offs, times = _survey(task, max_offset)
     if not times.size:
         raise NoOpGateError(
-            "gate relation is the identity on every admissible branch; "
-            "raise max_offset"
+            f"gate relation is the identity on every branch with |offset| <= {max_offset}"
         )
     # argmin returns the first minimum, the smallest branch in enumeration order
     best = offs[np.argmin(times)]

@@ -15,7 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import HermitianOperator, expm_unitary, hs_trace_product, spectral_span
+from .linalg import (
+    HermitianOperator,
+    _as_square_complex,
+    expm_unitary,
+    hs_trace_product,
+    spectral_span,
+)
 from .minimize import golden_min
 
 # coarse bracketing threshold; confirmation is also the solution fidelity bound
@@ -267,7 +273,9 @@ def solution_checks(h_total, h_control, h0, t, *, states=None, gate=None):
 def result_checks(h_total, h_control, h0, t, *, states=None, gate=None):
     """Checks of raw matrices read back from a result document, keyed by name:
     hermitian first, their largest anti-Hermitian drift against HERMITIAN_TOL,
-    then solution_checks on their Hermitian parts 0.5 (m + m^H)."""
+    then solution_checks on their Hermitian parts 0.5 (m + m^H). A non-finite
+    entry raises ValueError before any arithmetic on it."""
+    h_total, h_control = (_as_square_complex(m, "Hermitian operator") for m in (h_total, h_control))
     drift = max(float(np.max(np.abs(m - m.conj().T))) for m in (h_total, h_control))
     checks = {"hermitian": Check(drift, drift <= HERMITIAN_TOL, "drift {:.3e}")}
     h_total, h_control = (HermitianOperator(0.5 * (m + m.conj().T)) for m in (h_total, h_control))

@@ -87,11 +87,7 @@ def solve_embedded(task):
     """
     if task.psi_initial.dim == 2:
         return optimize(task)
-    return _solve_reduced(task, detect_and_reduce(task))
-
-
-def _solve_reduced(task, red):
-    """solve_embedded for a task of dim n > 2 and its reduction red = detect_and_reduce(task)."""
+    red = detect_and_reduce(task)
     basis = red.basis
     sub_task = NavigationTask(
         psi_initial=StateVector(np.array([1.0, 0.0], dtype=complex)),

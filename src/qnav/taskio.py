@@ -87,10 +87,6 @@ def _parse_wind(doc, dim):
         )
     if has_matrix:
         m = parse_complex_matrix(wind["matrix"], "wind.matrix")
-        if m.shape[0] != dim:
-            raise TaskFileError(
-                f"wind.matrix dim {m.shape[0]} does not match task dim {dim}"
-            )
         try:
             return HermitianOperator(m)
         except (NotHermitianError, DimensionError, ValueError) as exc:
@@ -104,8 +100,6 @@ def _parse_wind(doc, dim):
     except (TypeError, ValueError) as exc:
         raise TaskFileError(f"wind.epsilon: {exc}") from exc
     axis = wind.get("axis")
-    if eps != 0.0 and axis is None:
-        raise TaskFileError("wind with nonzero epsilon needs an axis")
     try:
         spec = WindSpec(epsilon=eps, axis=None if axis is None else np.asarray(axis, dtype=float))
     except (ValueError, DimensionError) as exc:
@@ -120,10 +114,6 @@ def _parse_states(doc, mode):
             raise TaskFileError(f"{mode} task needs {key}")
     psi_i = parse_complex_vector(doc["psi_initial"], "psi_initial")
     psi_f = parse_complex_vector(doc["psi_final"], "psi_final")
-    if psi_i.size != psi_f.size:
-        raise TaskFileError(
-            f"state dims differ: {psi_i.size} vs {psi_f.size}"
-        )
     if mode == "state" and psi_i.size != 2:
         raise TaskFileError(
             f"state mode is the qubit path (dim 2), got dim {psi_i.size}; "

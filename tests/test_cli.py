@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,6 @@ import qnav
 import qnav.cli
 import qnav.gate_nav
 import qnav.oracle
-import qnav.subspace
 from qnav.cli import main
 from qnav.linalg import HermitianOperator, StateVector, spectral_span
 from qnav.state_nav import MAX_SWEEP_POINTS, canonicalize, rho_of_phi, sweep
@@ -248,7 +248,7 @@ def test_identity_gate_exit_paths(tmp_path, capsys):
     task = write_json(tmp_path / "g.json", doc)
     assert main(["solve-gate", task]) == 5
     assert capsys.readouterr().err == (
-        "error: gate relation is the identity on every admissible branch; raise max_offset\n"
+        "error: gate relation is the identity on every branch with |offset| <= 0\n"
     )
     code, out = run(capsys, ["solve-gate", task, "--max-branch", "1"])
     assert code == 0
@@ -285,23 +285,22 @@ def test_solve_gate_takes_one_path_with_solve_gate_bytes(tmp_path, capsys, monke
             assert run(capsys, ["solve-gate", task]) == once
 
 
-def test_subspace_solve_reduces_once(monkeypatch, capsys):
-    """solve-state on a subspace task reduces once, through the public
-    detect_and_reduce, and prints byte for byte what it prints when the
-    solve goes through solve_embedded, which reduces again."""
-    task = str(REFERENCE / "subspace.json")
-    calls = []
-    with monkeypatch.context() as mp:
-        record_calls(mp, qnav.cli, "detect_and_reduce", calls)
-        record_calls(mp, qnav.subspace, "detect_and_reduce", calls)
-        code, _ = run(capsys, ["solve-state", task, "--no-oracle"])
-    assert code == 0
-    assert [name for name, _ in calls] == ["qnav.cli.detect_and_reduce"]
-    once = run(capsys, ["solve-state", task])
-    monkeypatch.setattr(qnav.cli, "_solve_reduced", lambda task, red: qnav.subspace.solve_embedded(task))
-    twice = run(capsys, ["solve-state", task])
-    assert once[0] == 0
-    assert once == twice
+def test_subspace_solve_is_traced_as_embed(capsys):
+    """solve-state solves a subspace task through solve_embedded, so the
+    benchmark's tracer (perfbench/tracing.py, only read) records a
+    subspace.embed span, and the traced call prints what the untraced one
+    prints. Entering instrument looks up every name the tracer wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", REFERENCE.parent / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = ["solve-state", str(REFERENCE / "subspace.json")]
+    untraced = run(capsys, argv)
+    tracer = tracing.Tracer()
+    with tracing.instrument(qnav, tracer):
+        traced = run(capsys, argv)
+    assert traced == untraced
+    assert untraced[0] == 0
+    assert "subspace.embed" in [name for _, name, _, _, _ in tracer.spans]
 
 
 def test_subspace_pipeline(tmp_path, capsys):
@@ -319,6 +318,25 @@ def test_subspace_pipeline(tmp_path, capsys):
     code, out = run(capsys, ["verify", str(result), task])
     assert code == 0
     assert "verify: PASS" in out
+
+
+def test_reference_tasks_solve_and_verify(tmp_path, capsys):
+    """The three reference tasks solve, the oracle agrees on the two transport
+    answers (solve-state exits 0 either way), verify passes each result, and
+    the reference sweep prints its header and 4096 rows."""
+    for name, command in (("state", ["solve-state"]), ("subspace", ["solve-state"]),
+                          ("gate", ["solve-gate", "--max-branch", "2"])):
+        task = str(REFERENCE / f"{name}.json")
+        result = tmp_path / f"{name}-result.json"
+        assert main([command[0], task, *command[1:], "--out", str(result)]) == 0
+        if name != "gate":
+            assert json.loads(result.read_text())["oracle"]["agrees"] is True
+        code, out = run(capsys, ["verify", str(result), task])
+        assert (code, out.splitlines()[-1]) == (0, "verify: PASS")
+    curve = tmp_path / "sweep.csv"
+    assert main(["sweep", str(REFERENCE / "state.json"), "--points", "4096", "--out", str(curve)]) == 0
+    lines = curve.read_text(encoding="utf-8").splitlines()
+    assert (lines[0], len(lines)) == ("phi,omega,rho,alpha,tau", 4097)
 
 
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
@@ -429,6 +447,20 @@ def test_verify_rejects_h_control_of_wrong_dim(tmp_path, capsys):
     code = main(["verify", write_json(tmp_path / "bad.json", doc), task])
     assert code == 2
     assert "result dim 3 does not match task dim 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["h_total", "h_control"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_verify_refuses_a_non_finite_matrix_before_any_arithmetic(tmp_path, capsys, key, value):
+    """A result matrix entry of Infinity or NaN exits 2 with the one error
+    line: no numpy warning (an error under this suite's filterwarnings)."""
+    task = write_json(tmp_path / "t.json", state_doc())
+    result = tmp_path / "r.json"
+    assert main(["solve-state", task, "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    doc[key][0][1][0] = value
+    code = main(["verify", write_json(tmp_path / "bad.json", doc), task])
+    assert (code, capsys.readouterr().err) == (2, "error: Hermitian operator contains non-finite entries\n")
 
 
 def test_import_loads_no_dependency_but_numpy():
@@ -634,6 +666,152 @@ def test_exit_code_invalid_inputs(tmp_path, capsys):
     m[0, 2] = m[2, 0] = 1e-3
     coupled["wind"] = {"matrix": matrix_pairs(m)}
     assert run(capsys, ["solve-state", write_json(tmp_path / "c.json", coupled)])[0] == 2
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def array_error(obj):
+    """numpy's message for obj read as an array of floats."""
+    try:
+        np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{obj!r} converted")
+
+
+def edit_result(**changes):
+    """Result edit replacing keys; a value of None removes the key."""
+
+    def edit(doc):
+        doc = dict(doc, **changes)
+        return {k: v for k, v in doc.items() if v is not None}
+
+    return edit
+
+
+def geodesic(doc):
+    """Result edit that changes nothing and asserts the windless answer phi* = pi/2."""
+    assert doc["phi_star"] == math.pi / 2.0
+    return doc
+
+
+QUTRIT = complex_pairs([1.0, 0.0, 0.0])
+ZEROS3 = matrix_pairs(np.zeros((3, 3)))
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, task_doc, result_edit, want_code, want_error",
+    [
+        pytest.param("solve-state", state_doc(mode="qutrit"), None, 2,
+                     "mode must be one of ('state', 'gate', 'subspace'), got 'qutrit'", id="mode"),
+        pytest.param("solve-state", gate_doc(), None, 2, "gate tasks go through solve-gate", id="state-on-gate"),
+        pytest.param("solve-gate", state_doc(), None, 2, "solve-gate needs a gate task", id="gate-on-state"),
+        pytest.param("sweep", subspace_doc(), None, 2, "sweep needs a state task", id="sweep-on-subspace"),
+        pytest.param("solve-state", without(state_doc(), "psi_final"), None, 2,
+                     "state task needs psi_final", id="lacks-psi-final"),
+        pytest.param("solve-state", state_doc(psi_initial=[["a", 0.0], [1.0, 0.0]]), None, 2,
+                     f"psi_initial: expected [re, im] pairs ({array_error([['a', 0.0], [1.0, 0.0]])})",
+                     id="psi-not-numbers"),
+        pytest.param("solve-state", state_doc(psi_initial=[1.0, 0.0]), None, 2,
+                     "psi_initial: expected a list of [re, im] pairs, got shape (2,)", id="psi-not-pairs"),
+        pytest.param("solve-state", state_doc(psi_final=QUTRIT), None, 2,
+                     "state task: state dims differ: 2 vs 3", id="state-dims-2-vs-3"),
+        pytest.param("solve-state", state_doc(psi_initial=QUTRIT), None, 2,
+                     "state mode is the qubit path (dim 2), got dim 3; use subspace mode for larger dims",
+                     id="state-mode-dims-3-vs-2"),
+        pytest.param("solve-state", dict(subspace_doc(), mode="state"), None, 2,
+                     "state mode is the qubit path (dim 2), got dim 3; use subspace mode for larger dims",
+                     id="state-mode-dim-3"),
+        pytest.param("solve-state", state_doc(psi_initial=complex_pairs([1.0, 1.0])), None, 2,
+                     "states: state norm 1.4142135623730951 deviates from 1 beyond 1e-12", id="state-norm"),
+        pytest.param("solve-state", dict(subspace_doc(), psi_initial=[[1.0, 0.0]], psi_final=[[1.0, 0.0]]),
+                     None, 2, "states: state must have dim >= 2, got 1", id="subspace-dim-1"),
+        pytest.param("solve-state", without(state_doc(), "wind"), None, 2, "task needs a wind object",
+                     id="lacks-wind"),
+        pytest.param("solve-state", state_doc(wind={}), None, 2,
+                     "wind must carry exactly one of (epsilon, axis) or matrix", id="wind-neither-form"),
+        pytest.param("solve-state", state_doc(wind={"matrix": "none"}), None, 2,
+                     f"wind.matrix: expected nested [re, im] pairs ({array_error('none')})",
+                     id="wind-matrix-not-numbers"),
+        pytest.param("solve-state", state_doc(wind={"matrix": [[[0.0, 0.0], [0.0, 0.0]]]}), None, 2,
+                     "wind.matrix: expected a square matrix of [re, im] pairs, got shape (1, 2, 2)",
+                     id="wind-matrix-not-square"),
+        pytest.param("solve-state", state_doc(wind={"matrix": matrix_pairs(np.full((2, 2), NAN))}), None, 2,
+                     "wind.matrix: Hermitian operator contains non-finite entries", id="wind-matrix-nan"),
+        pytest.param("solve-state", state_doc(wind={"matrix": ZEROS3}), None, 2,
+                     "state task: background dim 3 does not match state dim 2", id="wind-matrix-dim-3-on-qubit"),
+        pytest.param("solve-gate", gate_doc(wind={"matrix": ZEROS3}), None, 2,
+                     "gate task: background dim 3 does not match gate dim 2", id="wind-matrix-dim-3-on-gate"),
+        pytest.param("solve-state", dict(subspace_doc(), wind={"epsilon": 0.5, "axis": [0.0, 0.0, 1.0]}),
+                     None, 2, "wind as (epsilon, axis) is a qubit form; give a matrix for larger dims",
+                     id="epsilon-form-on-dim-3"),
+        pytest.param("solve-state", state_doc(epsilon="strong"), None, 2,
+                     "wind.epsilon: could not convert string to float: 'strong'", id="epsilon-not-number"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": 0.5}), None, 2,
+                     "wind: nonzero wind needs an axis", id="epsilon-without-axis"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": NAN}), None, 2,
+                     "wind: epsilon must be nonnegative, got nan", id="nan-epsilon-without-axis"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": -0.5}), None, 2,
+                     "wind: epsilon must be nonnegative, got -0.5", id="negative-epsilon-without-axis"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": 1.5}), None, 3,
+                     "background trace norm 1.5 reaches the unit control budget", id="strong-epsilon-without-axis"),
+        pytest.param("solve-state", state_doc(epsilon=-0.5), None, 2,
+                     "wind: epsilon must be nonnegative, got -0.5", id="negative-epsilon"),
+        pytest.param("solve-state", state_doc(axis=[0.0, 1.0]), None, 2,
+                     "wind: axis must have shape (3,), got (2,)", id="axis-shape"),
+        pytest.param("solve-gate", without(gate_doc(), "u_final"), None, 2, "gate task needs u_final",
+                     id="lacks-u-final"),
+        pytest.param("solve-gate", gate_doc(u_initial="eye"), None, 2,
+                     f"u_initial: expected nested [re, im] pairs ({array_error('eye')})", id="u-not-numbers"),
+        pytest.param("solve-gate", gate_doc(u_initial=[[1.0, 0.0], [0.0, 1.0]]), None, 2,
+                     "u_initial: expected a square matrix of [re, im] pairs, got shape (2, 2)",
+                     id="u-not-square"),
+        pytest.param("solve-gate", gate_doc(u_initial=matrix_pairs(np.full((2, 2), NAN))), None, 2,
+                     "gate task: u_initial contains non-finite entries", id="u-nan"),
+        pytest.param("solve-gate", gate_doc(u_final=matrix_pairs(np.eye(3))), None, 2,
+                     "gate task: unitary dims differ: (2, 2) vs (3, 3)", id="gate-dims-differ"),
+        pytest.param("solve-state", state_doc(optimizer=[]), None, 2, "optimizer must be an object",
+                     id="optimizer-not-object"),
+        pytest.param("solve-state", state_doc(oracle="yes"), None, 2, "oracle must be a boolean",
+                     id="oracle-not-boolean"),
+        pytest.param("verify", state_doc(), edit_result(mode="gate"), 2,
+                     "result mode 'gate' does not match task mode 'state'", id="result-mode"),
+        pytest.param("verify", state_doc(), edit_result(h_total=None), 2, "result lacks h_total",
+                     id="result-lacks-h-total"),
+        pytest.param("verify", state_doc(), edit_result(h_control="x"), 2,
+                     f"h_control: expected nested [re, im] pairs ({array_error('x')})", id="result-h-not-numbers"),
+        pytest.param("verify", state_doc(), edit_result(tau_star=None), 2, "result lacks tau_star",
+                     id="result-lacks-tau-star"),
+        pytest.param("verify", state_doc(), edit_result(tau_star="soon"), 2,
+                     "result tau_star: could not convert string to float: 'soon'", id="result-tau-star-text"),
+        pytest.param("verify", gate_doc(), edit_result(global_phase=None), 2, "result lacks global_phase",
+                     id="result-lacks-global-phase"),
+        pytest.param("verify", gate_doc(), edit_result(voyage_time=[1.0]), 2,
+                     "result voyage_time: float() argument must be a string or a real number, not 'list'",
+                     id="result-voyage-time-list"),
+        pytest.param("verify", state_doc(wind={"epsilon": 0}), geodesic, 0, None, id="zero-epsilon-wind"),
+    ],
+)
+def test_task_and_result_file_errors(tmp_path, capsys, command, task_doc, result_edit, want_code, want_error):
+    """Exit code and stderr, byte for byte, of a CLI call on a malformed task
+    or result file. A verify row first solves its task, then edits the result;
+    the one row that exits 0 also passes verify."""
+    task = write_json(tmp_path / "t.json", task_doc)
+    if command == "verify":
+        result = tmp_path / "r.json"
+        solver = "solve-gate" if task_doc["mode"] == "gate" else "solve-state"
+        assert main([solver, task, "--out", str(result)]) == 0
+        doc = result_edit(json.loads(result.read_text()))
+        argv = ["verify", write_json(tmp_path / "edited.json", doc), task]
+    else:
+        argv = [command, task]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (want_code, "" if want_error is None else f"error: {want_error}\n")
+    assert captured.out.endswith("verify: PASS\n") if code == 0 else captured.out == ""
 
 
 def test_oracle_sample_cap_exits_two(tmp_path, capsys, capped_arange):

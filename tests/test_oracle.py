@@ -64,6 +64,20 @@ def test_unreachable_target_reports_honestly():
     assert res.peak_fidelity == pytest.approx(0.5, abs=1e-6)
 
 
+def test_lobes_that_clear_detection_but_never_confirm():
+    """Every lobe of this rotation peaks at 1 - 1e-7, above DETECT_THRESHOLD
+    and below CONFIRM_THRESHOLD: first_passage refines each of the three
+    lobes in turn, skips the rest of each, and reports no passage."""
+    d = np.sqrt(1e-7 / (1.0 - 1e-7))
+    h = HermitianOperator(0.5 * np.array([[d, 1.0], [1.0, -d]]))
+    period = 2.0 * np.pi / spectral_span(h)
+    res = first_passage(h, StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), t_max=3.0 * period)
+    assert not res.reached
+    assert res.t_first == np.inf
+    assert qnav.oracle.DETECT_THRESHOLD < res.peak_fidelity < qnav.oracle.CONFIRM_THRESHOLD
+    assert res.peak_fidelity == pytest.approx(1.0 - 1e-7, abs=1e-12)
+
+
 def test_passage_check_gap_and_verdict():
     """passage_check reports no gap and no agreement when nothing confirms,
     and agrees with a solver's time exactly within ORACLE_TIME_TOL."""
