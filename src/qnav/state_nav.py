@@ -167,6 +167,14 @@ def _axis_xy(wind):
     return float(wind.axis[0]), float(wind.axis[1])
 
 
+def _finite_phi(phi):
+    """phi as a float64 array (0-d for a scalar); ValueError on a NaN or infinite entry."""
+    phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
+        raise ValueError("phi must be finite")
+    return phi
+
+
 def _omega(wind, p):
     """omega_of_phi from the projection p = x cos(phi) + y sin(phi)."""
     eps = wind.epsilon
@@ -182,14 +190,14 @@ def omega_of_phi(wind, phi):
     p = x cos phi + y sin phi; the root product is negative, so exactly
     one root is positive. Accepts scalar or array phi.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_phi(phi)
     x, y = _axis_xy(wind)
     return _omega(wind, x * np.cos(phi) + y * np.sin(phi))
 
 
 def rho_of_phi(theta, phi):
     """Angle between the rotation axis and either Bloch vector."""
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_phi(phi)
     return np.arccos(np.clip(np.cos(phi) * np.cos(theta / 2.0), -1.0, 1.0))
 
 
@@ -205,7 +213,7 @@ def alpha_geometric(theta, phi):
     its point nearest b_i, the offsets u_i and u_f of both Bloch vectors
     from it, and the triple and dot products that give the signed angle.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_phi(phi)
     ang = _alpha_geometric(theta, np.cos(phi), np.sin(phi))
     return ang if ang.ndim else float(ang)
 
@@ -268,7 +276,7 @@ def alpha_of_phi(theta, phi):
     and exactly pi on the boundary. Checked against alpha_geometric, fed
     the same cos(phi) and sin(phi).
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_phi(phi)
     alpha = _alpha(theta, np.cos(phi), np.sin(phi))
     return alpha if alpha.ndim else float(alpha)
 
@@ -303,16 +311,17 @@ def tau_of_phi(ctask, phi):
 
     Returns VoyageCurve(phi, omega, alpha, tau) and raises ArithmeticError
     when the full-throttle residual exceeds CONSTRAINT_RESIDUAL_TOL or the
-    orientation check of alpha_of_phi fails. cos(phi) and sin(phi) are
-    taken once and fed to the formulas behind omega_of_phi, alpha_of_phi
-    (with its geometric check) and the residual, so omega and alpha equal
-    those public functions bit for bit. An array gives, element for
-    element, the floats of one call per angle. optimize's scan runs the
-    same checked curve on precomputed cos and sin tables of its grid.
-    rho is left to rho_of_phi.
+    orientation check of alpha_of_phi fails. Like omega_of_phi, rho_of_phi,
+    alpha_of_phi and alpha_geometric, it raises ValueError for a NaN or
+    infinite phi entry. cos(phi) and sin(phi) are taken once and fed to the
+    formulas behind omega_of_phi, alpha_of_phi (with its geometric check)
+    and the residual, so omega and alpha equal those public functions bit
+    for bit. An array gives, element for element, the floats of one call
+    per angle. optimize's scan runs the same checked curve on precomputed
+    cos and sin tables of its grid. rho is left to rho_of_phi.
     """
     scalar = np.ndim(phi) == 0
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_phi(phi)
     curve = _voyage_curve(ctask, phi, np.cos(phi), np.sin(phi))
     if scalar:
         phi, omega, alpha = float(phi), float(curve.omega), float(curve.alpha)

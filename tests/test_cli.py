@@ -554,6 +554,43 @@ def test_main_output_does_not_depend_on_blas_threads():
     assert run_with_thread_env(argv) == run_with_thread_env(argv, OPENBLAS_NUM_THREADS="2")
 
 
+GC_PROBE = """
+import gc, json, sys
+if sys.argv[1] == "off":
+    gc.disable()
+if sys.argv[1] == "failed":
+    sys.modules["qnav.cli"] = None  # makes `from .cli import main` raise ImportError
+before = gc.isenabled()
+try:
+    import qnav.__main__
+except ImportError:
+    pass
+print(json.dumps({"before": before, "after": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+@pytest.mark.parametrize("case", ["on", "off", "failed"])
+def test_entry_point_leaves_the_collector_as_found(case):
+    """qnav.__main__ freezes the import-time heap and restores gc.isenabled(),
+    also when its import of the CLI fails."""
+    report = json.loads(run_with_thread_env(["-c", GC_PROBE, case]))
+    assert report["before"] is report["after"] is (case != "off")
+    assert (report["frozen"] > 0) is (case != "failed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-state", str(REFERENCE / "state.json")],
+     ["solve-gate", str(REFERENCE / "gate.json"), "--max-branch", "2"]],
+    ids=["solve-state", "solve-gate"],
+)
+def test_entry_paths_print_the_same_bytes(argv, capsys):
+    """python -m qnav in a fresh interpreter and main() in this one agree byte for byte."""
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert run_with_thread_env(["-m", "qnav", *argv]) == out.encode()
+
+
 def test_exit_code_wind_too_strong(tmp_path, capsys):
     task = write_json(tmp_path / "t.json", state_doc(epsilon=1.2))
     code, _ = run(capsys, ["solve-state", task])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,28 @@ def test_alpha_trivial_cases():
     for theta in (0.3, 1.2, 2.8):
         assert alpha_of_phi(theta, np.pi) == pytest.approx(np.pi)
         assert alpha_of_phi(theta, 0.0) == pytest.approx(np.pi)
+
+
+NON_FINITE_PHI_CALLS = {
+    "omega_of_phi": lambda ctask, phi: omega_of_phi(ctask.wind, phi),
+    "rho_of_phi": lambda ctask, phi: rho_of_phi(ctask.theta, phi),
+    "alpha_of_phi": lambda ctask, phi: alpha_of_phi(ctask.theta, phi),
+    "alpha_geometric": lambda ctask, phi: alpha_geometric(ctask.theta, phi),
+    "tau_of_phi": tau_of_phi,
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_PHI_CALLS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_curve_functions_refuse_non_finite_phi(name, bad, shape):
+    """Every public curve function refuses a NaN or infinite angle before any
+    arithmetic: no numpy warning, and no NaN read as the boundary angle pi."""
+    phi = bad if shape == "scalar" else np.array([0.5, bad, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^phi must be finite$"):
+            NON_FINITE_PHI_CALLS[name](canonicalize(benchmark_task()), phi)
 
 
 def test_alpha_antipodal_is_half_turn():
