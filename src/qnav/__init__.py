@@ -34,7 +34,6 @@ _EXPORTS = {
     "state_to_bloch": "bloch",
     "angular_separation": "bloch",
     "build_canonical_frame": "bloch",
-    "transform_wind": "bloch",
     "wind_operator": "bloch",
     "NavigationTask": "state_nav",
     "VoyageCurve": "state_nav",

@@ -11,10 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTaskError, DimensionError
-from .linalg import (
-    HermitianOperator, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_decompose, require_wind_below_budget,
-    split_trace,
-)
+from .linalg import pauli_compose, pauli_decompose, require_wind_below_budget
 
 # below this separation the task is degenerate, and within it of pi antipodal
 DEGENERATE_THETA_TOL = 1e-9
@@ -27,7 +24,6 @@ __all__ = [
     "angular_separation",
     "distinct_separation",
     "build_canonical_frame",
-    "transform_wind",
     "wind_operator",
 ]
 
@@ -192,19 +188,8 @@ class WindSpec:
         return self.epsilon == 0.0
 
 
-def transform_wind(frame, h0):
-    """WindSpec of a 2x2 background, with the axis in canonical coordinates.
-
-    Any trace part of h0 is split off first; it only shifts global phase
-    and is accounted for by the caller.
-    """
-    if h0.dim != 2:
-        raise DimensionError(f"wind transform needs dim 2, got {h0.dim}")
-    return _traceless_wind(frame, split_trace(h0)[1])
-
-
 def _traceless_wind(frame, traceless):
-    """transform_wind for a background whose trace is already split off."""
+    """WindSpec of a traceless 2x2 background, its axis in frame's canonical coordinates."""
     _, a = pauli_decompose(traceless)
     sq = float(a.dot(a))
     eps = 2.0 * sq
@@ -216,9 +201,9 @@ def _traceless_wind(frame, traceless):
 
 
 def wind_operator(wind):
-    """Rebuild the traceless 2x2 background sqrt(eps/2) * axis . sigma."""
-    if wind.is_zero:
-        return HermitianOperator(np.zeros((2, 2), dtype=complex))
-    s = np.sqrt(wind.epsilon / 2.0)
-    x, y, z = wind.axis
-    return HermitianOperator(s * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z))
+    """Rebuild the traceless 2x2 background sqrt(eps/2) * axis . sigma.
+
+    The identity coefficient -0.0 adds nothing, not even a sign: the bits are
+    the sigma sum's unless some sqrt(eps/2) * axis[k] underflows to zero."""
+    a = np.zeros(3) if wind.is_zero else np.sqrt(wind.epsilon / 2.0) * wind.axis
+    return pauli_compose(-0.0, a)

@@ -29,6 +29,7 @@ from .oracle import passage_check, result_checks
 from .state_nav import DEFAULT_GRID_POINTS, rho_of_phi, sweep
 from .subspace import detect_and_reduce, solve_embedded
 from .taskio import (
+    _json_number,
     dumps_result,
     load_task,
     matrix_pairs,
@@ -176,10 +177,7 @@ def _result_matrix(doc, key):
 def _result_float(doc, key):
     if key not in doc:
         raise TaskFileError(f"result lacks {key}")
-    try:
-        return float(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise TaskFileError(f"result {key}: {exc}") from exc
+    return _json_number(doc[key], f"result {key}")
 
 
 def cmd_verify(args):

@@ -39,7 +39,6 @@ __all__ = [
     "branch_generator",
     "unitary_eigenphases",
     "require_unitary",
-    "split_trace",
     "require_wind_below_budget",
     "split_background",
     "spectral_span",
@@ -230,13 +229,6 @@ def branch_generator(lam, q, offsets):
     return HermitianOperator((q * (lam + 2.0 * np.pi * offsets)) @ q.conj().T)
 
 
-def split_trace(h):
-    """Split h into (trace/dim, traceless HermitianOperator)."""
-    a0 = float(np.real(np.trace(h.matrix))) / h.dim
-    rest = h.matrix - a0 * np.eye(h.dim)
-    return a0, HermitianOperator(rest)
-
-
 def require_wind_below_budget(strength):
     """Reject a traceless background trace norm that reaches the unit control budget."""
     if strength >= 1.0:
@@ -248,7 +240,8 @@ def require_wind_below_budget(strength):
 def split_background(h0):
     """(trace/dim, traceless part, strength tr(traceless^2)) of a background
     whose strength stays below the unit control budget; every task's one split."""
-    trace_part, traceless = split_trace(h0)
+    trace_part = float(np.real(np.trace(h0.matrix))) / h0.dim
+    traceless = HermitianOperator(h0.matrix - trace_part * np.eye(h0.dim))
     strength = hs_trace_product(traceless, traceless)
     require_wind_below_budget(strength)
     return trace_part, traceless, strength

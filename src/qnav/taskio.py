@@ -52,21 +52,41 @@ def matrix_pairs(mat):
     return [complex_pairs(row) for row in np.asarray(mat, dtype=complex)]
 
 
-def parse_complex_vector(obj, what):
+def _json_number(value, what):
+    """value as a float if it is a JSON number, else TaskFileError; a bool
+    or a numeric string such as "0.9" is not one, though float() takes both."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TaskFileError(f"{what}: expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise TaskFileError(f"{what}: {exc}") from exc
+
+
+def _json_array(obj, what, expected):
+    """obj as a float array whose every entry is a JSON number, else
+    TaskFileError; expected names the shape wanted, for the message."""
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise TaskFileError(f"{what}: expected [re, im] pairs ({exc})") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TaskFileError(f"{what}: expected {expected} ({exc})") from exc
+    entries = [obj]
+    for _ in range(arr.ndim):
+        entries = [x for item in entries for x in item]
+    for x in entries:
+        _json_number(x, what)
+    return arr
+
+
+def parse_complex_vector(obj, what):
+    arr = _json_array(obj, what, "[re, im] pairs")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise TaskFileError(f"{what}: expected a list of [re, im] pairs, got shape {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
 def parse_complex_matrix(obj, what):
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise TaskFileError(f"{what}: expected nested [re, im] pairs ({exc})") from exc
+    arr = _json_array(obj, what, "nested [re, im] pairs")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise TaskFileError(
             f"{what}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
@@ -95,13 +115,12 @@ def _parse_wind(doc, dim):
         raise TaskFileError(
             "wind as (epsilon, axis) is a qubit form; give a matrix for larger dims"
         )
-    try:
-        eps = float(wind["epsilon"])
-    except (TypeError, ValueError) as exc:
-        raise TaskFileError(f"wind.epsilon: {exc}") from exc
+    eps = _json_number(wind["epsilon"], "wind.epsilon")
     axis = wind.get("axis")
+    if axis is not None:
+        axis = _json_array(axis, "wind.axis", "a list of 3 numbers")
     try:
-        spec = WindSpec(epsilon=eps, axis=None if axis is None else np.asarray(axis, dtype=float))
+        spec = WindSpec(epsilon=eps, axis=axis)
     except (ValueError, DimensionError) as exc:
         # wind too strong deliberately not caught: that is its own exit path
         raise TaskFileError(f"wind: {exc}") from exc

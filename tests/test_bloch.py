@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,10 @@ from qnav import (
     angular_separation,
     build_canonical_frame,
     state_to_bloch,
-    transform_wind,
     wind_operator,
 )
 from qnav.bloch import WindSpec, _cross, _norm
-from qnav.linalg import split_trace
+from qnav.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qnav.state_nav import canonicalize
 
 from conftest import (
@@ -178,49 +179,28 @@ def test_frame_y_axis_is_np_cross(rng):
         assert same_bits(y_ax, np.cross(z_ax, x_ax))
 
 
-def test_canonicalize_wind_is_transform_wind(rng):
-    """canonicalize splits the trace of h0 once; its wind and trace half are
-    transform_wind's and split_trace's to the last bit."""
-    for k in range(100):
-        psi_i, psi_f = haar_state(rng), haar_state(rng)
-        eps = 0.0 if k % 10 == 0 else rng.uniform(0.01, 0.95)
-        shift = rng.uniform(-2.0, 2.0) * np.eye(2)
-        task = NavigationTask(
-            psi_initial=psi_i,
-            psi_final=psi_f,
-            h0=HermitianOperator(shift + wind_from_axis(eps, rng.normal(size=3)).matrix),
-        )
-        ctask = canonicalize(task)
-        spec = transform_wind(ctask.frame, task.h0)
-        assert same_bits(ctask.wind.epsilon, spec.epsilon)
-        if spec.is_zero:
-            assert ctask.wind.axis is None
-        else:
-            assert same_bits(ctask.wind.axis, spec.axis)
-        assert same_bits(ctask.h0_trace_half, split_trace(task.h0)[0])
+def canonical_wind(psi_i, psi_f, h0):
+    """The canonical wind of the qubit task carrying psi_i to psi_f under h0."""
+    return canonicalize(NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)).wind
 
 
-def test_transform_wind_identity_frame():
+def test_canonical_wind_identity_frame():
     psi_i, psi_f = symmetric_pair(np.pi / 2.0)
-    frame = build_canonical_frame(psi_i, psi_f)
-    h0 = wind_from_axis(0.9, benchmark_axis())
-    spec = transform_wind(frame, h0)
+    spec = canonical_wind(psi_i, psi_f, wind_from_axis(0.9, benchmark_axis()))
     assert spec.epsilon == pytest.approx(0.9, abs=1e-12)
     assert np.allclose(spec.axis, benchmark_axis(), atol=1e-10)
 
 
-def test_transform_wind_preserves_strength_and_spectrum(rng):
+def test_canonical_wind_preserves_strength_and_spectrum(rng):
     """The wind axis rotates; its strength and eigenvalues cannot change."""
     for _ in range(100):
         theta = rng.uniform(0.1, np.pi - 0.1)
         u = haar_unitary(rng)
         psi_i, psi_f = symmetric_pair(theta)
-        frame = build_canonical_frame(
-            StateVector(u @ psi_i.amplitudes), StateVector(u @ psi_f.amplitudes)
-        )
         eps = rng.uniform(0.05, 0.95)
         h0 = wind_from_axis(eps, rng.normal(size=3))
-        spec = transform_wind(frame, h0)
+        psi_i, psi_f = StateVector(u @ psi_i.amplitudes), StateVector(u @ psi_f.amplitudes)
+        spec = canonical_wind(psi_i, psi_f, h0)
         assert spec.epsilon == pytest.approx(eps, abs=1e-12)
         recomposed = wind_operator(spec)
         assert np.allclose(
@@ -228,27 +208,57 @@ def test_transform_wind_preserves_strength_and_spectrum(rng):
         )
 
 
-def test_transform_wind_zero():
+def test_canonical_wind_zero():
     psi_i, psi_f = symmetric_pair(1.0)
-    frame = build_canonical_frame(psi_i, psi_f)
-    spec = transform_wind(frame, HermitianOperator(np.zeros((2, 2))))
+    spec = canonical_wind(psi_i, psi_f, HermitianOperator(np.zeros((2, 2))))
     assert spec.is_zero
     assert spec.axis is None
 
 
-def test_transform_wind_splits_trace():
+def test_canonical_wind_splits_trace():
     psi_i, psi_f = symmetric_pair(1.0)
-    frame = build_canonical_frame(psi_i, psi_f)
     h0 = HermitianOperator(0.7 * np.eye(2) + 0.3 * np.diag([1.0, -1.0]))
-    spec = transform_wind(frame, h0)
-    assert spec.epsilon == pytest.approx(2.0 * 0.3**2, abs=1e-12)
+    ctask = canonicalize(NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0))
+    assert ctask.wind.epsilon == pytest.approx(2.0 * 0.3**2, abs=1e-12)
+    assert ctask.h0_trace_half == pytest.approx(0.7, abs=1e-15)
 
 
-def test_transform_wind_too_strong():
-    psi_i, psi_f = symmetric_pair(1.0)
-    frame = build_canonical_frame(psi_i, psi_f)
-    with pytest.raises(WindTooStrongError):
-        transform_wind(frame, wind_from_axis(1.0, [0.0, 0.0, 1.0]))
+SIGNED_AXIS_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.3, -0.3, 1.0, -1.0)
+
+
+def test_wind_operator_is_the_sigma_sum_bytewise(rng):
+    """wind_operator has the bytes of s * (x sigma_x + y sigma_y + z sigma_z),
+    s = sqrt(eps/2), after symmetrisation, signed zeros included, unless some
+    s * axis[k] underflows to zero, where the values are still equal: every
+    sign pattern of the special axis entries at three strengths, 2000
+    seeded winds with a third of the axis entries zeroed with a random sign,
+    and the zero wind."""
+    axes = [np.array(entries) for entries in itertools.product(SIGNED_AXIS_ENTRIES, repeat=3)]
+    cases = [(eps, v) for v in axes for eps in (5e-324, 1e-300, 0.999999)]
+    for _ in range(2_000):
+        v = rng.normal(size=3)
+        pick = rng.uniform(size=3) < 1.0 / 3.0
+        v[pick] = rng.choice([0.0, -0.0], size=int(pick.sum()))
+        cases.append((rng.uniform(0.0, 1.0), v))
+    # an axis whose squares all underflow has no direction to normalise
+    cases = [(eps, v / np.linalg.norm(v)) for eps, v in cases if np.linalg.norm(v) > 0.0]
+    underflows = 0
+    for eps, axis in cases:
+        spec = WindSpec(epsilon=eps, axis=axis)
+        s = np.sqrt(spec.epsilon / 2.0)
+        x, y, z = spec.axis
+        want = HermitianOperator(s * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)).matrix
+        got = wind_operator(spec).matrix
+        if np.any((s * spec.axis == 0.0) & (spec.axis != 0.0)):
+            # a coefficient that underflows to zero drops the sign that the
+            # unscaled sum carried into a zero diagonal entry
+            underflows += 1
+            assert np.array_equal(got, want), (eps, axis)
+        else:
+            assert same_bits(got, want), (eps, axis)
+    assert 0 < underflows < len(cases) // 2
+    zero = HermitianOperator(np.zeros((2, 2), dtype=complex))
+    assert same_bits(wind_operator(WindSpec(epsilon=0.0, axis=None)).matrix, zero.matrix)
 
 
 def test_wind_spec_validation():

@@ -494,7 +494,7 @@ def test_import_is_lazy():
     assert not_listed == []
 
     exported = [name for name in qnav.__all__ if name != "__version__"]
-    assert len(exported) == 38
+    assert len(exported) == 37
     for name in exported:
         value = getattr(qnav, name)
         assert value is getattr(sys.modules[value.__module__], name), name
@@ -752,6 +752,12 @@ NAN = float("nan")
         pytest.param("solve-state", state_doc(psi_initial=[["a", 0.0], [1.0, 0.0]]), None, 2,
                      f"psi_initial: expected [re, im] pairs ({array_error([['a', 0.0], [1.0, 0.0]])})",
                      id="psi-not-numbers"),
+        pytest.param("solve-state", state_doc(psi_initial=[["0.9238795325112867", False], [0.3826834323650898, 0.0]]),
+                     None, 2, 'psi_initial: expected a number, got "0.9238795325112867"', id="psi-numeric-text"),
+        pytest.param("solve-state", state_doc(psi_initial=[[0.9238795325112867, False], [0.3826834323650898, 0.0]]),
+                     None, 2, "psi_initial: expected a number, got false", id="psi-bool"),
+        pytest.param("solve-state", state_doc(psi_initial=[[10**400, 0.0], [0.0, 0.0]]), None, 2,
+                     "psi_initial: expected [re, im] pairs (int too large to convert to float)", id="psi-huge-int"),
         pytest.param("solve-state", state_doc(psi_initial=[1.0, 0.0]), None, 2,
                      "psi_initial: expected a list of [re, im] pairs, got shape (2,)", id="psi-not-pairs"),
         pytest.param("solve-state", state_doc(psi_final=QUTRIT), None, 2,
@@ -773,6 +779,8 @@ NAN = float("nan")
         pytest.param("solve-state", state_doc(wind={"matrix": "none"}), None, 2,
                      f"wind.matrix: expected nested [re, im] pairs ({array_error('none')})",
                      id="wind-matrix-not-numbers"),
+        pytest.param("solve-state", state_doc(wind={"matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [None, 0.0]]]}),
+                     None, 2, "wind.matrix: expected a number, got null", id="wind-matrix-null"),
         pytest.param("solve-state", state_doc(wind={"matrix": [[[0.0, 0.0], [0.0, 0.0]]]}), None, 2,
                      "wind.matrix: expected a square matrix of [re, im] pairs, got shape (1, 2, 2)",
                      id="wind-matrix-not-square"),
@@ -786,7 +794,17 @@ NAN = float("nan")
                      None, 2, "wind as (epsilon, axis) is a qubit form; give a matrix for larger dims",
                      id="epsilon-form-on-dim-3"),
         pytest.param("solve-state", state_doc(epsilon="strong"), None, 2,
-                     "wind.epsilon: could not convert string to float: 'strong'", id="epsilon-not-number"),
+                     'wind.epsilon: expected a number, got "strong"', id="epsilon-not-number"),
+        pytest.param("solve-state", state_doc(epsilon="0.9"), None, 2,
+                     'wind.epsilon: expected a number, got "0.9"', id="epsilon-numeric-text"),
+        pytest.param("solve-state", state_doc(epsilon=False), None, 2,
+                     "wind.epsilon: expected a number, got false", id="epsilon-bool"),
+        pytest.param("solve-state", state_doc(epsilon=10**400), None, 2,
+                     "wind.epsilon: int too large to convert to float", id="epsilon-huge-int"),
+        pytest.param("solve-state", state_doc(axis=[True, False, False]), None, 2,
+                     "wind.axis: expected a number, got true", id="axis-bool"),
+        pytest.param("solve-state", state_doc(axis="z"), None, 2,
+                     f"wind.axis: expected a list of 3 numbers ({array_error('z')})", id="axis-not-numbers"),
         pytest.param("solve-state", state_doc(wind={"epsilon": 0.5}), None, 2,
                      "wind: nonzero wind needs an axis", id="epsilon-without-axis"),
         pytest.param("solve-state", state_doc(wind={"epsilon": NAN}), None, 2,
@@ -803,6 +821,8 @@ NAN = float("nan")
                      id="lacks-u-final"),
         pytest.param("solve-gate", gate_doc(u_initial="eye"), None, 2,
                      f"u_initial: expected nested [re, im] pairs ({array_error('eye')})", id="u-not-numbers"),
+        pytest.param("solve-gate", gate_doc(u_initial=[[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]), None, 2,
+                     'u_initial: expected a number, got "1"', id="u-numeric-text"),
         pytest.param("solve-gate", gate_doc(u_initial=[[1.0, 0.0], [0.0, 1.0]]), None, 2,
                      "u_initial: expected a square matrix of [re, im] pairs, got shape (2, 2)",
                      id="u-not-square"),
@@ -823,12 +843,17 @@ NAN = float("nan")
         pytest.param("verify", state_doc(), edit_result(tau_star=None), 2, "result lacks tau_star",
                      id="result-lacks-tau-star"),
         pytest.param("verify", state_doc(), edit_result(tau_star="soon"), 2,
-                     "result tau_star: could not convert string to float: 'soon'", id="result-tau-star-text"),
+                     'result tau_star: expected a number, got "soon"', id="result-tau-star-text"),
+        pytest.param("verify", state_doc(), edit_result(tau_star="1.5"), 2,
+                     'result tau_star: expected a number, got "1.5"', id="result-tau-star-numeric-text"),
+        pytest.param("verify", state_doc(), edit_result(h_total=[[["0.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+                     2, 'h_total: expected a number, got "0.0"', id="result-h-numeric-text"),
         pytest.param("verify", gate_doc(), edit_result(global_phase=None), 2, "result lacks global_phase",
                      id="result-lacks-global-phase"),
         pytest.param("verify", gate_doc(), edit_result(voyage_time=[1.0]), 2,
-                     "result voyage_time: float() argument must be a string or a real number, not 'list'",
-                     id="result-voyage-time-list"),
+                     "result voyage_time: expected a number, got [1.0]", id="result-voyage-time-list"),
+        pytest.param("verify", gate_doc(), edit_result(global_phase=False), 2,
+                     "result global_phase: expected a number, got false", id="result-global-phase-bool"),
         pytest.param("verify", state_doc(wind={"epsilon": 0}), geodesic, 0, None, id="zero-epsilon-wind"),
     ],
 )

@@ -34,7 +34,7 @@ from qnav.gate_nav import (
     _canonical_phases,
     _offset_table,
 )
-from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_trace
+from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_background
 
 from conftest import (
     haar_state,
@@ -263,7 +263,7 @@ def per_branch_survey(task, max_offset):
     """The survey as one scalar evaluation per offset vector: the reference
     that the batched branch_survey must match bit for bit."""
     lam, q, _ = _canonical_phases(task)
-    _, h0_traceless = split_trace(task.h0)
+    _, h0_traceless, _ = split_background(task.h0)
     weights = np.real(np.einsum("ij,ik,kj->j", q.conj(), h0_traceless.matrix, q))
     c = 1.0 - hs_trace_product(h0_traceless, h0_traceless)
     rng = range(-max_offset, max_offset + 1)
@@ -391,7 +391,6 @@ def test_solves_read_the_split_of_construction(rng, monkeypatch):
     )
     record_calls(monkeypatch, qnav.gate_nav, "split_background", calls)
     record_calls(monkeypatch, qnav.state_nav, "split_background", calls)
-    record_calls(monkeypatch, qnav.linalg, "split_trace", calls)
     solve_gate(gate)
     solve_gate_min_branch(gate, 2)
     branch_survey(gate, 2)
@@ -402,9 +401,7 @@ def test_solves_read_the_split_of_construction(rng, monkeypatch):
     NavigationTask(psi_initial=state.psi_initial, psi_final=state.psi_final, h0=state.h0)
     assert [name for name, _ in calls] == [
         "qnav.gate_nav.split_background",
-        "qnav.linalg.split_trace",
         "qnav.state_nav.split_background",
-        "qnav.linalg.split_trace",
     ]
 
 

@@ -24,7 +24,7 @@ from qnav.linalg import (
     UNITARY_TOL,
     branch_generator,
     spectral_span,
-    split_trace,
+    split_background,
     unitary_eigenphases,
 )
 
@@ -371,13 +371,15 @@ def test_state_vector_rejects_nan():
         StateVector([np.nan, 0.0])
 
 
-def test_split_trace(rng):
-    h = HermitianOperator(np.diag([2.0, 0.0, 1.0]))
-    a0, rest = split_trace(h)
+def test_split_trace():
+    """split_background splits off trace/dim and measures what is left."""
+    h = HermitianOperator(np.diag([1.2, 0.8, 1.0]))
+    a0, rest, strength = split_background(h)
     assert a0 == pytest.approx(1.0)
     assert np.trace(rest.matrix) == pytest.approx(0.0, abs=1e-15)
     back = rest.matrix + a0 * np.eye(3)
     assert np.allclose(back, h.matrix, atol=1e-15)
+    assert strength == pytest.approx(0.08, abs=1e-15)
 
 
 def test_operator_decomposes_once_read_only(rng, monkeypatch):

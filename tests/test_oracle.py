@@ -78,6 +78,22 @@ def test_lobes_that_clear_detection_but_never_confirm():
     assert res.peak_fidelity == pytest.approx(1.0 - 1e-7, abs=1e-12)
 
 
+def test_window_ending_inside_an_unconfirmed_lobe():
+    """The window stops 1e-4 before the half turn that carries |0> to |1>:
+    the last lobe clears DETECT_THRESHOLD and is still climbing when the
+    samples run out, so first_passage reports no passage, with the best
+    refined peak between the two thresholds."""
+    h = HermitianOperator(SIGMA_Y / np.sqrt(2.0))
+    t_max = np.pi / np.sqrt(2.0) - 1e-4
+    res = first_passage(h, StateVector([1.0, 0.0]), StateVector([0.0, 1.0]), t_max=t_max, dt=1e-5)
+    assert not res.reached
+    assert res.t_first == np.inf
+    assert qnav.oracle.DETECT_THRESHOLD < res.peak_fidelity < qnav.oracle.CONFIRM_THRESHOLD
+    # the fidelity is sin^2(t / sqrt 2), 1 - delta^2 / 2 at delta before the
+    # half turn; the last sample lies within one step dt of t_max
+    assert 1e-4**2 / 2.0 <= 1.0 - res.peak_fidelity <= (1e-4 + 1e-5) ** 2 / 2.0
+
+
 def test_passage_check_gap_and_verdict():
     """passage_check reports no gap and no agreement when nothing confirms,
     and agrees with a solver's time exactly within ORACLE_TIME_TOL."""

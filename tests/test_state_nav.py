@@ -484,6 +484,36 @@ def test_first_passage_curve_smooth_where_principal_curve_kinks():
     assert abs(slope_left - slope_right) <= 0.1 * abs(slope_left)
 
 
+def test_principal_voyage_time_antipodal_is_a_half_turn():
+    """For antipodal states every rotation axis needs a half turn, so the
+    principal curve is pi / omega at every angle."""
+    task = NavigationTask(
+        psi_initial=StateVector([1.0, 0.0]),
+        psi_final=StateVector([0.0, 1.0]),
+        h0=wind_from_axis(0.6, [0.3, -0.5, 0.8]),
+    )
+    ctask = canonicalize(task)
+    phis = 2.0 * np.pi * np.arange(64) / 64
+    assert same_bits(principal_voyage_time(ctask, phis), np.pi / omega_of_phi(ctask.wind, phis))
+
+
+def test_off_quadratic_omega_fails_the_residual_check(monkeypatch):
+    """An omega off the full-throttle quadratic by 1e-3 relative is refused
+    by every curve that checks it: tau_of_phi, sweep and optimize."""
+    task = benchmark_task()
+    ctask = canonicalize(task)
+    exact = state_nav._omega
+    monkeypatch.setattr(state_nav, "_omega", lambda wind, p: exact(wind, p) * (1.0 + 1e-3))
+    for solve in (
+        lambda: tau_of_phi(ctask, 0.7),
+        lambda: tau_of_phi(ctask, np.array([0.7, 2.0])),
+        lambda: sweep(task, 64),
+        lambda: optimize(task),
+    ):
+        with pytest.raises(ArithmeticError, match="constraint residual .* on the voyage curve"):
+            solve()
+
+
 def test_optimize_benchmark_frozen_values():
     sol = optimize(benchmark_task())
     assert 0.43 * np.pi <= sol.phi_star <= 0.45 * np.pi

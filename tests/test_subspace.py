@@ -71,9 +71,8 @@ def test_embedded_solve_splits_the_block_once(monkeypatch):
     red = detect_and_reduce(task)
     calls = []
     record_calls(monkeypatch, qnav.state_nav, "split_background", calls)
-    record_calls(monkeypatch, qnav.linalg, "split_trace", calls)
     solve_embedded(task)
-    assert [name for name, _ in calls] == ["qnav.state_nav.split_background", "qnav.linalg.split_trace"]
+    assert [name for name, _ in calls] == ["qnav.state_nav.split_background"]
     assert all(same_bits(arg.matrix, red.h0_block.matrix) for _, arg in calls)
 
 
