@@ -59,21 +59,16 @@ __all__ = ["build_parser", "main"]
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise TaskFileError(f"cannot write output file: {exc}") from exc
 
 
 def _meta():
     return {"tool": "qnav", "version": __version__}
-
-
-def _oracle_enabled(args, loaded):
-    if args.oracle is not None:
-        return args.oracle
-    if loaded.oracle is not None:
-        return loaded.oracle
-    return True
 
 
 def _oracle_block(solution, task):
@@ -117,10 +112,7 @@ def cmd_solve_state(args):
             "constraint_residual": solution.constraint_residual,
         }
     )
-    if _oracle_enabled(args, loaded):
-        doc["oracle"] = _oracle_block(solution, task)
-    else:
-        doc["oracle"] = {"enabled": False}
+    doc["oracle"] = _oracle_block(solution, task) if args.oracle else {"enabled": False}
     _emit(dumps_result(doc), args.out)
     return EXIT_OK
 
@@ -220,10 +212,10 @@ def build_parser():
     p_state = sub.add_parser("solve-state", help="solve a state or subspace task")
     p_state.add_argument("task", help="task file (JSON)")
     p_state.add_argument(
-        "--oracle",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="cross-check the result by direct evolution (default on)",
+        "--no-oracle",
+        dest="oracle",
+        action="store_false",
+        help="skip the cross-check of the result by direct evolution",
     )
     p_state.add_argument("--out", default=None, help="write the result here instead of stdout")
     p_state.set_defaults(func=cmd_solve_state)

@@ -274,8 +274,10 @@ def result_checks(h_total, h_control, h0, t, *, states=None, gate=None):
     """Checks of raw matrices read back from a result document, keyed by name:
     hermitian first, their largest anti-Hermitian drift against HERMITIAN_TOL,
     then solution_checks on their Hermitian parts 0.5 (m + m^H). A non-finite
-    entry raises ValueError before any arithmetic on it."""
+    entry or gate phase raises ValueError before any arithmetic on it."""
     h_total, h_control = (_as_square_complex(m, "Hermitian operator") for m in (h_total, h_control))
+    if gate is not None and not math.isfinite(gate[2]):
+        raise ValueError("global phase must be finite")
     drift = max(float(np.max(np.abs(m - m.conj().T))) for m in (h_total, h_control))
     checks = {"hermitian": Check(drift, drift <= HERMITIAN_TOL, "drift {:.3e}")}
     h_total, h_control = (HermitianOperator(0.5 * (m + m.conj().T)) for m in (h_total, h_control))

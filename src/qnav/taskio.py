@@ -2,8 +2,9 @@
 
 Task files are JSON. Complex numbers are [re, im] pairs and matrices
 are row-major nested lists of pairs, so files stay language-neutral.
-The wind is given either as {"epsilon", "axis"} or as an explicit
-Hermitian {"matrix"}; exactly one form must be present.
+A file holds "mode", the keys _TASK_KEYS gives that mode, and at most
+the legacy "optimizer" and "oracle". The wind is {"epsilon", "axis"} or
+an explicit Hermitian {"matrix"}: exactly one form, and nothing else.
 """
 
 import json
@@ -17,7 +18,12 @@ from .gate_nav import GateTask
 from .linalg import HermitianOperator, StateVector
 from .state_nav import DEFAULT_GRID_POINTS, DEFAULT_PHI_TOL, NavigationTask
 
-MODES = ("state", "gate", "subspace")
+# each mode's required keys, in the order their absence is reported
+_TASK_KEYS = {
+    "state": ("psi_initial", "psi_final", "wind"),
+    "gate": ("u_initial", "u_final", "wind"),
+    "subspace": ("psi_initial", "psi_final", "wind"),
+}
 # the optimizer's scan and tolerance are fixed; a task file may still name them
 _FIXED_OPTIMIZER = {"grid_points": DEFAULT_GRID_POINTS, "tol": DEFAULT_PHI_TOL}
 
@@ -35,11 +41,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LoadedTask:
-    """Parsed task plus the oracle setting from the file."""
+    """Parsed task and its mode."""
 
     mode: str
     task: object
-    oracle: bool | None
 
 
 def complex_pairs(vec):
@@ -94,17 +99,16 @@ def parse_complex_matrix(obj, what):
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def _parse_wind(doc, dim):
+def _parse_wind(wind, dim):
     """Background operator from the wind block, honoring both forms."""
-    wind = doc.get("wind")
     if not isinstance(wind, dict):
-        raise TaskFileError("task needs a wind object")
-    has_eps = "epsilon" in wind
+        raise TaskFileError("wind must be an object")
     has_matrix = "matrix" in wind
-    if has_eps == has_matrix:
-        raise TaskFileError(
-            "wind must carry exactly one of (epsilon, axis) or matrix"
-        )
+    if ("epsilon" in wind) == has_matrix:
+        raise TaskFileError("wind must carry exactly one of (epsilon, axis) or matrix")
+    extra = sorted(wind.keys() - ({"matrix"} if has_matrix else {"epsilon", "axis"}))
+    if extra:
+        raise TaskFileError(f"wind.{extra[0]} does not go with wind.{'matrix' if has_matrix else 'epsilon'}")
     if has_matrix:
         m = parse_complex_matrix(wind["matrix"], "wind.matrix")
         try:
@@ -128,9 +132,6 @@ def _parse_wind(doc, dim):
 
 
 def _parse_states(doc, mode):
-    for key in ("psi_initial", "psi_final"):
-        if key not in doc:
-            raise TaskFileError(f"{mode} task needs {key}")
     psi_i = parse_complex_vector(doc["psi_initial"], "psi_initial")
     psi_f = parse_complex_vector(doc["psi_final"], "psi_final")
     if mode == "state" and psi_i.size != 2:
@@ -168,28 +169,14 @@ def load_task(path):
     """
     doc = read_json_object(path, "task")
     mode = doc.get("mode")
-    if mode not in MODES:
-        raise TaskFileError(f"mode must be one of {MODES}, got {mode!r}")
-
-    if mode == "gate":
-        for key in ("u_initial", "u_final"):
-            if key not in doc:
-                raise TaskFileError(f"gate task needs {key}")
-        u_i = parse_complex_matrix(doc["u_initial"], "u_initial")
-        u_f = parse_complex_matrix(doc["u_final"], "u_final")
-        h0 = _parse_wind(doc, u_i.shape[0])
-        try:
-            task = GateTask(u_initial=u_i, u_final=u_f, h0=h0)
-        except (DimensionError, ValueError) as exc:
-            raise TaskFileError(f"gate task: {exc}") from exc
-    else:
-        psi_i, psi_f = _parse_states(doc, mode)
-        h0 = _parse_wind(doc, psi_i.dim)
-        try:
-            task = NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)
-        except DimensionError as exc:
-            raise TaskFileError(f"{mode} task: {exc}") from exc
-
+    if mode not in _TASK_KEYS:
+        raise TaskFileError(f"mode must be one of {tuple(_TASK_KEYS)}, got {mode!r}")
+    for key in _TASK_KEYS[mode]:
+        if key not in doc:
+            raise TaskFileError(f"{mode} task needs {key}")
+    extra = sorted(doc.keys() - {"mode", "optimizer", "oracle", *_TASK_KEYS[mode]})
+    if extra:
+        raise TaskFileError(f"{extra[0]} is not a key of a {mode} task")
     optimizer = doc.get("optimizer", {})
     if not isinstance(optimizer, dict):
         raise TaskFileError("optimizer must be an object")
@@ -198,10 +185,25 @@ def load_task(path):
             raise TaskFileError(f"optimizer.{key} is not a setting")
         if value != _FIXED_OPTIMIZER[key]:
             raise TaskFileError(f"optimizer.{key} is fixed at {_FIXED_OPTIMIZER[key]!r}, got {value!r}")
-    oracle = doc.get("oracle")
-    if oracle is not None and not isinstance(oracle, bool):
-        raise TaskFileError("oracle must be a boolean")
-    return LoadedTask(mode=mode, task=task, oracle=oracle)
+    if doc.get("oracle", True) is not True:
+        raise TaskFileError("oracle may only be true in a task file; pass --no-oracle to skip it")
+
+    if mode == "gate":
+        u_i = parse_complex_matrix(doc["u_initial"], "u_initial")
+        u_f = parse_complex_matrix(doc["u_final"], "u_final")
+        h0 = _parse_wind(doc["wind"], u_i.shape[0])
+        try:
+            task = GateTask(u_initial=u_i, u_final=u_f, h0=h0)
+        except (DimensionError, ValueError) as exc:
+            raise TaskFileError(f"gate task: {exc}") from exc
+    else:
+        psi_i, psi_f = _parse_states(doc, mode)
+        h0 = _parse_wind(doc["wind"], psi_i.dim)
+        try:
+            task = NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)
+        except DimensionError as exc:
+            raise TaskFileError(f"{mode} task: {exc}") from exc
+    return LoadedTask(mode=mode, task=task)
 
 
 def dumps_result(doc):

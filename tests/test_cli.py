@@ -114,14 +114,24 @@ def test_solve_state_oracle_opt_out(tmp_path, capsys):
     assert json.loads(out)["oracle"] == {"enabled": False}
 
 
-def test_oracle_file_setting_and_flag_precedence(tmp_path, capsys):
-    task = write_json(tmp_path / "t.json", state_doc(oracle=False))
-    code, out = run(capsys, ["solve-state", task])
-    assert code == 0
-    assert json.loads(out)["oracle"] == {"enabled": False}
-    code, out = run(capsys, ["solve-state", task, "--oracle"])
+def test_no_oracle_flag_is_the_one_oracle_switch(tmp_path, capsys):
+    """A task file may still say "oracle": true, and any other value exits 2;
+    --no-oracle alone turns the oracle off, and --oracle does not parse."""
+    off = write_json(tmp_path / "off.json", state_doc(oracle=False))
+    assert main(["solve-state", off]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle may only be true in a task file; pass --no-oracle to skip it\n"
+    )
+    on = write_json(tmp_path / "on.json", state_doc(oracle=True))
+    code, out = run(capsys, ["solve-state", on])
     assert code == 0
     assert json.loads(out)["oracle"]["agrees"] is True
+    code, out = run(capsys, ["solve-state", on, "--no-oracle"])
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"enabled": False}
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-state", on, "--oracle"])
+    assert exc.value.code == 2
 
 
 def test_grid_precedence(tmp_path, capsys):
@@ -772,8 +782,17 @@ NAN = float("nan")
                      "states: state norm 1.4142135623730951 deviates from 1 beyond 1e-12", id="state-norm"),
         pytest.param("solve-state", dict(subspace_doc(), psi_initial=[[1.0, 0.0]], psi_final=[[1.0, 0.0]]),
                      None, 2, "states: state must have dim >= 2, got 1", id="subspace-dim-1"),
-        pytest.param("solve-state", without(state_doc(), "wind"), None, 2, "task needs a wind object",
+        pytest.param("solve-state", without(state_doc(), "wind"), None, 2, "state task needs wind",
                      id="lacks-wind"),
+        pytest.param("solve-state", state_doc(wind=[0.5]), None, 2, "wind must be an object", id="wind-not-object"),
+        pytest.param("solve-state", state_doc(orcale=False), None, 2, "orcale is not a key of a state task",
+                     id="unknown-key"),
+        pytest.param("solve-gate", gate_doc(oracle=False, psi_initial=QUTRIT), None, 2,
+                     "psi_initial is not a key of a gate task", id="state-key-on-gate"),
+        pytest.param("solve-state", dict(subspace_doc(), wind=dict(subspace_doc()["wind"], axis=[0.0, 0.0, 1.0])),
+                     None, 2, "wind.axis does not go with wind.matrix", id="matrix-wind-with-axis"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": 0.5, "axsi": [0.0, 0.0, 1.0]}), None, 2,
+                     "wind.axsi does not go with wind.epsilon", id="epsilon-wind-unknown-key"),
         pytest.param("solve-state", state_doc(wind={}), None, 2,
                      "wind must carry exactly one of (epsilon, axis) or matrix", id="wind-neither-form"),
         pytest.param("solve-state", state_doc(wind={"matrix": "none"}), None, 2,
@@ -832,8 +851,17 @@ NAN = float("nan")
                      "gate task: unitary dims differ: (2, 2) vs (3, 3)", id="gate-dims-differ"),
         pytest.param("solve-state", state_doc(optimizer=[]), None, 2, "optimizer must be an object",
                      id="optimizer-not-object"),
-        pytest.param("solve-state", state_doc(oracle="yes"), None, 2, "oracle must be a boolean",
-                     id="oracle-not-boolean"),
+        pytest.param("solve-state", state_doc(oracle="yes"), None, 2,
+                     "oracle may only be true in a task file; pass --no-oracle to skip it", id="oracle-not-boolean"),
+        pytest.param("solve-state --out missing/r.json", state_doc(), None, 2,
+                     "cannot write output file: [Errno 2] No such file or directory: 'missing/r.json'",
+                     id="solve-state-out-unwritable"),
+        pytest.param("sweep --out missing/r.csv", state_doc(), None, 2,
+                     "cannot write output file: [Errno 2] No such file or directory: 'missing/r.csv'",
+                     id="sweep-out-unwritable"),
+        pytest.param("solve-gate --out missing/r.json", gate_doc(), None, 2,
+                     "cannot write output file: [Errno 2] No such file or directory: 'missing/r.json'",
+                     id="solve-gate-out-unwritable"),
         pytest.param("verify", state_doc(), edit_result(mode="gate"), 2,
                      "result mode 'gate' does not match task mode 'state'", id="result-mode"),
         pytest.param("verify", state_doc(), edit_result(h_total=None), 2, "result lacks h_total",
@@ -854,13 +882,21 @@ NAN = float("nan")
                      "result voyage_time: expected a number, got [1.0]", id="result-voyage-time-list"),
         pytest.param("verify", gate_doc(), edit_result(global_phase=False), 2,
                      "result global_phase: expected a number, got false", id="result-global-phase-bool"),
+        pytest.param("verify", gate_doc(), edit_result(global_phase=NAN), 2, "global phase must be finite",
+                     id="result-global-phase-nan"),
+        pytest.param("verify", gate_doc(), edit_result(global_phase=math.inf), 2, "global phase must be finite",
+                     id="result-global-phase-inf"),
         pytest.param("verify", state_doc(wind={"epsilon": 0}), geodesic, 0, None, id="zero-epsilon-wind"),
     ],
 )
-def test_task_and_result_file_errors(tmp_path, capsys, command, task_doc, result_edit, want_code, want_error):
+def test_task_and_result_file_errors(tmp_path, capsys, monkeypatch, command, task_doc, result_edit, want_code,
+                                    want_error):
     """Exit code and stderr, byte for byte, of a CLI call on a malformed task
-    or result file. A verify row first solves its task, then edits the result;
+    or result file, or with an --out path (relative to tmp_path) that cannot
+    be written. A verify row first solves its task, then edits the result;
     the one row that exits 0 also passes verify."""
+    monkeypatch.chdir(tmp_path)
+    command, *flags = command.split()
     task = write_json(tmp_path / "t.json", task_doc)
     if command == "verify":
         result = tmp_path / "r.json"
@@ -869,7 +905,7 @@ def test_task_and_result_file_errors(tmp_path, capsys, command, task_doc, result
         doc = result_edit(json.loads(result.read_text()))
         argv = ["verify", write_json(tmp_path / "edited.json", doc), task]
     else:
-        argv = [command, task]
+        argv = [command, task, *flags]
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.err) == (want_code, "" if want_error is None else f"error: {want_error}\n")

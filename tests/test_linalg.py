@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,17 +17,21 @@ from qnav import (
     pauli_compose,
     pauli_decompose,
 )
+from qnav.bloch import CanonicalFrame, angular_separation, state_to_bloch
 from qnav.linalg import (
     HERMITIAN_DRIFT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     UNITARY_TOL,
+    _as_square_complex,
     branch_generator,
     spectral_span,
     split_background,
     unitary_eigenphases,
 )
+
+from qnav.state_nav import NavigationTask, canonicalize
 
 from conftest import haar_unitary, qft, random_traceless_hermitian, record_calls, same_bits
 
@@ -413,3 +418,26 @@ def test_spectral_span_keeps_its_own_eigvalsh(rng, monkeypatch):
     record_calls(monkeypatch, np.linalg, "eigvalsh", calls)
     assert spectral_span(h) == float(w[-1] - w[0])
     assert len(calls) == 1
+
+
+E0, E1 = StateVector(np.array([1.0, 0.0, 0.0])), StateVector(np.array([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: canonicalize(NavigationTask(E0, E1, HermitianOperator(np.zeros((3, 3))))),
+                     "direct navigation handles qubit tasks; reduce larger dims first", id="canonicalize-dim-3"),
+        pytest.param(lambda: state_to_bloch(E0), "Bloch map needs dim 2, got 3", id="bloch-dim-3"),
+        pytest.param(lambda: angular_separation(E0, E1), "angular separation is defined for qubit states",
+                     id="separation-dim-3"),
+        pytest.param(lambda: CanonicalFrame(rotation=np.eye(2), theta=1.0), "rotation must be 3x3, got (2, 2)",
+                     id="frame-2x2"),
+        pytest.param(lambda: _as_square_complex([[1.0]]), "matrix must have dim >= 2, got 1", id="matrix-1x1"),
+        pytest.param(lambda: pauli_compose(0.0, [1.0, 0.0]), "coefficient vector must have shape (3,), got (2,)",
+                     id="pauli-length-2"),
+    ],
+)
+def test_qubit_and_matrix_shape_rules_raise_dimension_error(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()
