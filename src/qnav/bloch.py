@@ -156,7 +156,7 @@ class WindSpec:
 
     epsilon is the trace norm tr(h0^2) of the traceless background; it
     must stay strictly below the unit control budget. epsilon == 0 means
-    no wind and carries no axis.
+    no wind and carries no axis; an axis given with it is still checked.
     """
 
     epsilon: float
@@ -168,11 +168,10 @@ class WindSpec:
             raise ValueError(f"epsilon must be nonnegative, got {eps}")
         require_wind_below_budget(eps)
         object.__setattr__(self, "epsilon", eps)
-        if eps == 0.0:
-            object.__setattr__(self, "axis", None)
-            return
         if self.axis is None:
-            raise ValueError("nonzero wind needs an axis")
+            if eps != 0.0:
+                raise ValueError("nonzero wind needs an axis")
+            return
         ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,):
             raise DimensionError(f"axis must have shape (3,), got {ax.shape}")
@@ -181,7 +180,7 @@ class WindSpec:
             raise ValueError(f"axis norm {norm!r} deviates from 1 beyond 1e-12")
         ax = ax / norm
         ax.setflags(write=False)
-        object.__setattr__(self, "axis", ax)
+        object.__setattr__(self, "axis", ax if eps != 0.0 else None)
 
     @property
     def is_zero(self):

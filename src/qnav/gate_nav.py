@@ -19,7 +19,6 @@ from .linalg import (
     HermitianOperator,
     _integer_offsets,
     branch_generator,
-    hs_trace_product,
     require_unitary,
     split_background,
     unitary_eigenphases,
@@ -131,10 +130,7 @@ def _canonical_phases(task):
 
 
 def _voyage_time(a, b, c):
-    """Closed-form T from the overlap a = tr(h0 X), b = tr(X^2), budget c.
-
-    Scalars or arrays of branches alike.
-    """
+    """Closed-form T from the overlap a = tr(h0 X), b = tr(X^2), budget c; the one formula."""
     disc = np.sqrt(a * a + c * b)
     return b / (disc + a)
 
@@ -146,31 +142,34 @@ def solve_gate(task, branch=None):
     canonical eigenphase; offsets must sum to zero so the generator
     stays traceless. Defaults to all zeros. A branch of the wrong length,
     with a non-integral entry or a nonzero sum is refused before the gate
-    relation is decomposed.
+    relation is decomposed. The voyage time is the branch's row of
+    branch_survey, bit for bit.
     """
     if branch is None:
         branch = (0,) * task.dim
     offs = _integer_offsets(branch, task.dim)
     if int(offs.sum()) != 0:
         raise ValueError(f"branch offsets must sum to zero, got {offs.tolist()}")
-    lam, q, su_phase = _canonical_phases(task)
-    return _solve_on_branch(task, branch_generator(lam, q, offs), offs, su_phase)
+    return _solve_fastest(
+        task,
+        _survey(task, offs[np.newaxis]),
+        "gate relation is the identity on this branch; pick a nonzero branch",
+    )
 
 
-def _solve_on_branch(task, x, offs, su_phase):
-    """Solve and check on the branch offs with generator x and SU phase su_phase."""
-    n = task.dim
-    h0_trace_half, h0_traceless, strength = task._h0_split
-    b = hs_trace_product(x, x)
-    if b <= NOOP_TRACE_TOL:
-        raise NoOpGateError(
-            "gate relation is the identity on this branch; pick a nonzero branch"
-        )
-    a = hs_trace_product(h0_traceless, x)
-    c = 1.0 - strength
-    t_voyage = _voyage_time(a, b, c)
+def _solve_fastest(task, survey, noop_message):
+    """Solve and check on the fastest row of a _survey; NoOpGateError(noop_message) if it has none.
 
-    h_total = HermitianOperator(x.matrix / t_voyage + h0_trace_half * np.eye(n))
+    argmin returns the first minimum, so ties go to the earliest row.
+    """
+    (lam, q, su_phase), offs, times = survey
+    if not times.size:
+        raise NoOpGateError(noop_message)
+    best = int(np.argmin(times))
+    t_voyage = times[best]
+    x = branch_generator(lam, q, offs[best])
+    h0_trace_half = task._h0_split[0]
+    h_total = HermitianOperator(x.matrix / t_voyage + h0_trace_half * np.eye(task.dim))
     global_phase = h0_trace_half * t_voyage + su_phase
     h_control, checks = checked_control(
         h_total, task.h0, t_voyage, "gate", gate=(task.u_initial, task.u_final, global_phase)
@@ -179,7 +178,7 @@ def _solve_on_branch(task, x, offs, su_phase):
         voyage_time=float(t_voyage),
         h_total=h_total,
         h_control=h_control,
-        branch=tuple(int(k) for k in offs),
+        branch=tuple(offs[best].tolist()),
         generator=x,
         global_phase=float(global_phase),
         gate_residual=checks["gate_relation"].value,
@@ -234,12 +233,11 @@ def _build_offset_table(n, max_offset):
 _cached_offset_table = functools.lru_cache(maxsize=_OFFSET_CACHE_ENTRIES)(_build_offset_table)
 
 
-def _survey(task, max_offset):
-    """Canonical phases, offset rows and their closed-form voyage times.
+def _survey(task, offs):
+    """Canonical phases, the rows of the offset table offs and their closed-form voyage times.
 
     Rows whose generator vanishes are dropped.
     """
-    offs = _offset_table(task.dim, max_offset)
     canonical = _canonical_phases(task)
     lam, q, _ = canonical
     _, h0_traceless, strength = task._h0_split
@@ -260,12 +258,13 @@ def branch_survey(task, max_offset):
     """Voyage time of every admissible branch, batched over the offset box.
 
     Returns a list of (branch, voyage_time) in lexicographic enumeration
-    order, skipping branches whose generator vanishes. Each time equals a
-    per-branch scalar evaluation bit for bit, since np.vecdot shares
-    np.dot's inner loop. Raises ValueError for a negative max_offset or a
-    box beyond MAX_BRANCH_CANDIDATES.
+    order, skipping branches whose generator vanishes. Each time is the
+    voyage_time of solve_gate on that branch, bit for bit: both read it off
+    one survey, and np.vecdot shares np.dot's inner loop on every row.
+    Raises ValueError for a negative max_offset or a box beyond
+    MAX_BRANCH_CANDIDATES.
     """
-    _, offs, times = _survey(task, max_offset)
+    _, offs, times = _survey(task, _offset_table(task.dim, max_offset))
     return list(zip(map(tuple, offs.tolist()), times.tolist()))
 
 
@@ -277,11 +276,8 @@ def solve_gate_min_branch(task, max_offset):
     eigendecomposition. Ties go to the lexicographically smallest branch
     vector.
     """
-    (lam, q, su_phase), offs, times = _survey(task, max_offset)
-    if not times.size:
-        raise NoOpGateError(
-            f"gate relation is the identity on every branch with |offset| <= {max_offset}"
-        )
-    # argmin returns the first minimum, the smallest branch in enumeration order
-    best = offs[np.argmin(times)]
-    return _solve_on_branch(task, branch_generator(lam, q, best), best, su_phase)
+    return _solve_fastest(
+        task,
+        _survey(task, _offset_table(task.dim, max_offset)),
+        f"gate relation is the identity on every branch with |offset| <= {max_offset}",
+    )

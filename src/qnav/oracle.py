@@ -98,10 +98,11 @@ def _amplitude_table(h, psi_i, psi_f):
     return w, np.conj(c_f) * c_i
 
 
-def _curve(h, psi_i, psi_f, t_max, dt):
-    """Grid t, sampled fidelity f and the (w, table) of h's one decomposition.
+def fidelity_curve(h, psi_i, psi_f, t_max=None, dt=None):
+    """Sampled transfer fidelity on the grid t = 0, dt, ..., t_max.
 
-    The amplitude is summed eigencomponent by eigencomponent, each term an
+    One eigendecomposition of h, read through _amplitude_table. The
+    amplitude is summed eigencomponent by eigencomponent, each term an
     elementwise product of arrays of len(t), so no BLAS matrix-vector call
     (and none of its worker threads) is involved. Each e^{-i w_k t} is
     written as np.cos and -np.sin into the real and imaginary views of one
@@ -129,17 +130,7 @@ def _curve(h, psi_i, psi_f, t_max, dt):
         np.cos(wt, out=phase.real)
         np.negative(np.sin(wt, out=wt), out=phase.imag)
         amp += ck * phase
-    return t, np.abs(amp) ** 2, w, table
-
-
-def fidelity_curve(h, psi_i, psi_f, t_max=None, dt=None):
-    """Sampled transfer fidelity on the grid t = 0, dt, ..., t_max.
-
-    One eigendecomposition of h; the samples are sums of elementwise
-    products over its eigencomponents, with no BLAS call.
-    """
-    t, f, _, _ = _curve(h, psi_i, psi_f, t_max, dt)
-    return t, f
+    return t, np.abs(amp) ** 2
 
 
 def _refine_peak(w, table, lo, hi):
@@ -168,12 +159,13 @@ def _refine_peak(w, table, lo, hi):
 def first_passage(h, psi_i, psi_f, t_max=None, dt=None):
     """First time the evolution under h carries psi_i onto psi_f.
 
-    Walks the sampled fidelity to the top of each lobe clearing the
+    Walks fidelity_curve's samples to the top of each lobe clearing the
     detection threshold, refines the peak, and confirms against the
     tighter threshold. The refined peak time is reported because the
     analytic voyage time is the tangency point of the lobe.
     """
-    t, f, w, table = _curve(h, psi_i, psi_f, t_max, dt)
+    t, f = fidelity_curve(h, psi_i, psi_f, t_max, dt)
+    w, table = _amplitude_table(h, psi_i, psi_f)
     n = t.size
     if n == 1:
         reached = f[0] >= CONFIRM_THRESHOLD

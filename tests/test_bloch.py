@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qnav import (
     DegenerateTaskError,
+    DimensionError,
     HermitianOperator,
     NavigationTask,
     StateVector,
@@ -270,6 +271,13 @@ def test_wind_spec_validation():
         WindSpec(epsilon=0.5, axis=np.array([0.0, 0.0, 2.0]))
     ok = WindSpec(epsilon=0.5, axis=np.array([0.0, 0.0, 1.0]))
     assert not ok.is_zero
+    # a zero wind checks a given axis like any other, then carries none
+    with pytest.raises(ValueError, match="^axis norm 8.66"):
+        WindSpec(epsilon=0.0, axis=np.array([5.0, 5.0, 5.0]))
+    with pytest.raises(DimensionError):
+        WindSpec(epsilon=0.0, axis=np.array([1.0, 2.0]))
+    assert WindSpec(epsilon=0.0, axis=np.array([0.0, 0.0, 1.0])).axis is None
+    assert WindSpec(epsilon=0.0, axis=None).axis is None
 
 
 def test_wind_spec_rejects_nan():

@@ -245,6 +245,26 @@ def test_solve_gate_branch_table(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_gate_answer_is_its_first_branch_table_row(tmp_path, capsys):
+    """solve-gate --max-branch prints the branch and voyage time of its
+    table's first row exactly: the answer and the table read one survey."""
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 4):
+        for k in range(5):
+            doc = {
+                "mode": "gate",
+                "u_initial": matrix_pairs(haar_unitary(rng, n)),
+                "u_final": matrix_pairs(haar_unitary(rng, n)),
+                "wind": {"matrix": matrix_pairs(random_traceless_hermitian(rng, n, 0.5).matrix)},
+            }
+            task = write_json(tmp_path / f"g{n}_{k}.json", doc)
+            code, out = run(capsys, ["solve-gate", task, "--max-branch", "2"])
+            assert code == 0
+            doc = json.loads(out)
+            first = doc["branch_table"][0]
+            assert (doc["branch"], doc["voyage_time"]) == (first["branch"], first["voyage_time"])
+
+
 def test_solve_gate_branch_box_too_large(tmp_path, capsys):
     task = write_json(tmp_path / "g.json", gate_doc())
     code = main(["solve-gate", task, "--max-branch", "600000"])
@@ -298,8 +318,10 @@ def test_solve_gate_takes_one_path_with_solve_gate_bytes(tmp_path, capsys, monke
 def test_subspace_solve_is_traced_as_embed(capsys):
     """solve-state solves a subspace task through solve_embedded, so the
     benchmark's tracer (perfbench/tracing.py, only read) records a
-    subspace.embed span, and the traced call prints what the untraced one
-    prints. Entering instrument looks up every name the tracer wraps."""
+    subspace.embed span and, since the oracle samples through
+    fidelity_curve, its sample count; the traced call prints what the
+    untraced one prints. Entering instrument looks up every name the tracer
+    wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", REFERENCE.parent / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -311,6 +333,7 @@ def test_subspace_solve_is_traced_as_embed(capsys):
     assert traced == untraced
     assert untraced[0] == 0
     assert "subspace.embed" in [name for _, name, _, _, _ in tracer.spans]
+    assert tracer.counts["oracle.samples"] > 0
 
 
 def test_subspace_pipeline(tmp_path, capsys):
@@ -836,6 +859,10 @@ NAN = float("nan")
                      "wind: epsilon must be nonnegative, got -0.5", id="negative-epsilon"),
         pytest.param("solve-state", state_doc(axis=[0.0, 1.0]), None, 2,
                      "wind: axis must have shape (3,), got (2,)", id="axis-shape"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": 0, "axis": [5.0, 5.0, 5.0]}), None, 2,
+                     "wind: axis norm 8.660254037844387 deviates from 1 beyond 1e-12", id="zero-wind-axis-norm"),
+        pytest.param("solve-state", state_doc(wind={"epsilon": 0, "axis": [1.0, 2.0]}), None, 2,
+                     "wind: axis must have shape (3,), got (2,)", id="zero-wind-axis-shape"),
         pytest.param("solve-gate", without(gate_doc(), "u_final"), None, 2, "gate task needs u_final",
                      id="lacks-u-final"),
         pytest.param("solve-gate", gate_doc(u_initial="eye"), None, 2,

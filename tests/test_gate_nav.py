@@ -142,16 +142,22 @@ def test_numpy_integer_branch_accepted():
         assert sol.voyage_time == plain.voyage_time
 
 
-def test_branch_survey_matches_full_solver():
-    task = gate_task(z_rotation(0.7), wind_from_axis(0.4, [0.3, 0.5, 0.8]))
-    survey = branch_survey(task, 2)
-    assert len(survey) == 5
-    for branch, t_fast in survey:
-        assert sum(branch) == 0
-        sol = solve_gate(task, branch)
-        assert t_fast == pytest.approx(sol.voyage_time, abs=1e-9)
-    best = solve_gate_min_branch(task, 2)
-    assert best.voyage_time == pytest.approx(min(t for _, t in survey), abs=1e-12)
+def test_branch_survey_matches_full_solver(rng):
+    """Every survey row is the voyage time solve_gate gives on its branch,
+    bit for bit, on a qubit rotation and on Haar gates of n = 2 to 4."""
+    tasks = [gate_task(z_rotation(0.7), wind_from_axis(0.4, [0.3, 0.5, 0.8]))]
+    tasks += [
+        GateTask(haar_unitary(rng, n), haar_unitary(rng, n), random_traceless_hermitian(rng, n, 0.5))
+        for n in (2, 3, 4)
+        for _ in range(2)
+    ]
+    assert len(branch_survey(tasks[0], 2)) == 5
+    for task in tasks:
+        survey = branch_survey(task, 2)
+        for branch, t_fast in survey:
+            assert sum(branch) == 0
+            assert solve_gate(task, branch).voyage_time == t_fast
+        assert solve_gate_min_branch(task, 2).voyage_time == min(t for _, t in survey)
 
 
 def test_tailwind_alignment_monotonicity():

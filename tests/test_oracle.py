@@ -267,7 +267,9 @@ def test_refine_peak_is_bitwise_the_per_step_product(rng, monkeypatch, n):
 
     monkeypatch.setattr(qnav.oracle, "golden_min", spy)
     h = random_traceless_hermitian(rng, n, strength=1.0)
-    t, f, w, table = qnav.oracle._curve(h, haar_state(rng, n), haar_state(rng, n), None, None)
+    psi_i, psi_f = haar_state(rng, n), haar_state(rng, n)
+    t, f = fidelity_curve(h, psi_i, psi_f)
+    w, table = qnav.oracle._amplitude_table(h, psi_i, psi_f)
     j = int(np.argmax(f[1:-1])) + 1
     t_peak, f_peak = qnav.oracle._refine_peak(w, table, t[j - 1], t[j + 1])
 
@@ -286,7 +288,7 @@ def test_refine_peak_is_bitwise_the_per_step_product(rng, monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_curve_samples_are_the_complex_exponential_sum_bitwise(rng, n):
-    """_curve writes cos and -sin into one complex buffer per eigencomponent;
+    """fidelity_curve writes cos and -sin into one complex buffer per eigencomponent;
     its samples must be those of the complex-exponential sum
     table[0] e^{-i w_0 t} + table[1] e^{-i w_1 t} + ... byte for byte, on
     the default grid and on one reaching far out in w t."""
@@ -294,7 +296,8 @@ def test_curve_samples_are_the_complex_exponential_sum_bitwise(rng, n):
         h = random_traceless_hermitian(rng, n, strength=rng.uniform(0.1, 3.0))
         h = HermitianOperator(h.matrix + rng.uniform(-2.0, 2.0) * np.eye(n))
         psi_i, psi_f = haar_state(rng, n), haar_state(rng, n)
-        t, f, w, table = qnav.oracle._curve(h, psi_i, psi_f, t_max, None)
+        t, f = fidelity_curve(h, psi_i, psi_f, t_max)
+        w, table = qnav.oracle._amplitude_table(h, psi_i, psi_f)
         amp = table[0] * np.exp(-1j * (t * w[0]))
         for wk, ck in zip(w[1:], table[1:]):
             amp += ck * np.exp(-1j * (t * wk))
