@@ -18,7 +18,6 @@ from .errors import DimensionError, NoOpGateError
 from .linalg import (
     HermitianOperator,
     _integer_offsets,
-    branch_generator,
     require_unitary,
     split_background,
     unitary_eigenphases,
@@ -160,14 +159,15 @@ def solve_gate(task, branch=None):
 def _solve_fastest(task, survey, noop_message):
     """Solve and check on the fastest row of a _survey; NoOpGateError(noop_message) if it has none.
 
-    argmin returns the first minimum, so ties go to the earliest row.
+    argmin returns the first minimum, so ties go to the earliest row. The
+    generator is q diag(phases) q^dagger on that row's phases.
     """
-    (lam, q, su_phase), offs, times = survey
+    (_, q, su_phase), offs, phases, times = survey
     if not times.size:
         raise NoOpGateError(noop_message)
     best = int(np.argmin(times))
     t_voyage = times[best]
-    x = branch_generator(lam, q, offs[best])
+    x = HermitianOperator((q * phases[best]) @ q.conj().T)
     h0_trace_half = task._h0_split[0]
     h_total = HermitianOperator(x.matrix / t_voyage + h0_trace_half * np.eye(task.dim))
     global_phase = h0_trace_half * t_voyage + su_phase
@@ -234,7 +234,8 @@ _cached_offset_table = functools.lru_cache(maxsize=_OFFSET_CACHE_ENTRIES)(_build
 
 
 def _survey(task, offs):
-    """Canonical phases, the rows of the offset table offs and their closed-form voyage times.
+    """Canonical phases, the rows of the offset table offs, their generator
+    phases lam + 2 pi offs and their closed-form voyage times.
 
     Rows whose generator vanishes are dropped.
     """
@@ -251,7 +252,7 @@ def _survey(task, offs):
     useful = b > NOOP_TRACE_TOL
     offs, phases, b = offs[useful], phases[useful], b[useful]
     a = np.vecdot(phases, weights)
-    return canonical, offs, _voyage_time(a, b, c)
+    return canonical, offs, phases, _voyage_time(a, b, c)
 
 
 def branch_survey(task, max_offset):
@@ -264,7 +265,7 @@ def branch_survey(task, max_offset):
     Raises ValueError for a negative max_offset or a box beyond
     MAX_BRANCH_CANDIDATES.
     """
-    _, offs, times = _survey(task, _offset_table(task.dim, max_offset))
+    _, offs, _, times = _survey(task, _offset_table(task.dim, max_offset))
     return list(zip(map(tuple, offs.tolist()), times.tolist()))
 
 

@@ -1,8 +1,8 @@
 """Complex linear algebra on small dense matrices.
 
 Pauli composition and decomposition, Hermitian and unitary checks,
-matrix exponentials of Hermitian generators, eigenphases of unitaries and
-their generators on an explicit log branch, Hilbert-Schmidt trace
+matrix exponentials of Hermitian generators, eigenphases of unitaries,
+the validation of integer log-branch offsets, Hilbert-Schmidt trace
 products. Everything here targets dims up to ~8, so eigendecomposition is
 used throughout instead of Pade-style schemes.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "pauli_decompose",
     "hs_trace_product",
     "expm_unitary",
-    "branch_generator",
     "unitary_eigenphases",
     "require_unitary",
     "require_wind_below_budget",
@@ -217,16 +216,6 @@ def _integer_offsets(offsets, n):
         return np.array([operator.index(k) for k in raw.tolist()], dtype=int)
     except TypeError:
         raise ValueError(f"branch offsets must be integers, got {raw.tolist()}") from None
-
-
-def branch_generator(lam, q, offsets):
-    """Generator q diag(lam + 2 pi offsets) q^dagger of q diag(e^{-i lam}) q^dagger.
-
-    offsets holds one integer number of turns per eigenphase: DimensionError
-    for another length, ValueError for a non-integral entry.
-    """
-    offsets = _integer_offsets(offsets, lam.size)
-    return HermitianOperator((q * (lam + 2.0 * np.pi * offsets)) @ q.conj().T)
 
 
 def require_wind_below_budget(strength):

@@ -253,8 +253,9 @@ def _alpha(theta, c, s):
     if _antipodal(theta):
         # antipodal states: every equatorial rotation needs a half turn
         return np.full(s.shape, np.pi)
+    # at s = 0 the principal angle is arccos(-1), exactly pi
     base = _principal_angle(theta, s)
-    alpha = np.where(s > 0.0, base, np.where(s < 0.0, 2.0 * np.pi - base, np.pi))
+    alpha = np.where(s < 0.0, 2.0 * np.pi - base, base)
 
     check = np.abs(s) > _ORIENTATION_CHECK_MIN_SIN
     if check.any():
@@ -272,9 +273,10 @@ def alpha_of_phi(theta, phi):
 
     The arccos expression gives the angle in [0, pi]; the rotation
     reaches the target forward for sin phi > 0 and backward otherwise,
-    so the first positive angle is its 2*pi complement for sin phi < 0
-    and exactly pi on the boundary. Checked against alpha_geometric, fed
-    the same cos(phi) and sin(phi).
+    so the first positive angle is its 2*pi complement for sin phi < 0.
+    On the boundary sin phi = 0 (or -0.0) the expression is arccos(-1),
+    exactly pi for every non-degenerate theta, so it needs no case of its
+    own. Checked against alpha_geometric, fed the same cos(phi) and sin(phi).
     """
     phi = _finite_phi(phi)
     alpha = _alpha(theta, np.cos(phi), np.sin(phi))
@@ -390,38 +392,10 @@ def _curve_point(ctask):
         s2 = s * s
         g = (s2 - t2) / (s2 + t2)
         base = float(np.arccos(g))
-        alpha = base if s > 0.0 else two_pi - base if s < 0.0 else np.pi
+        alpha = two_pi - base if s < 0.0 else base
         return omega, alpha / omega
 
     return point
-
-
-def _refine_objective(ctask, seen):
-    """Scalar tau(phi) of _curve_point for golden refinement, appending each phi to seen.
-
-    The orientation cross-check is left to the caller, which runs it on all
-    of seen at once.
-    """
-    point = _curve_point(ctask)
-
-    def tau(phi):
-        seen.append(phi)
-        return point(phi)[1]
-
-    return tau
-
-
-def _refine_half(objective, tau, start):
-    """Golden refinement of objective around the grid minimum inside one open half.
-
-    tau is the scan of that half from scan index start, ends included: the
-    grid minimum is sought among its interior points tau[1:N/2], and its two
-    grid neighbours bracket the search. _SCAN_PHIS carries 2 pi after the
-    last grid angle, so both exist in either half. The result is a point
-    the search evaluated.
-    """
-    best = start + 1 + np.argmin(tau[1 : DEFAULT_GRID_POINTS // 2])
-    return golden_min(objective, _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL)
 
 
 def _half_bounds(ctask):
@@ -457,16 +431,16 @@ def _half_bounds(ctask):
     return float(first), float(second)
 
 
-def _lab_answer(ctask, phi_star):
+def _lab_answer(ctask, point, phi_star):
     """Unverified lab-frame answer at the chosen control angle.
 
     Returns ((phi_star, omega, tau, theta), h_total). omega and tau come
-    from _curve_point, the scalar point the refinement evaluates, and the
-    full-throttle residual is checked at phi_star. The orientation check is
-    not repeated: the search has run it on every angle it can return.
+    from point, the task's _curve_point that the refinement evaluates, and
+    the full-throttle residual is checked at phi_star. The orientation check
+    is not repeated: the search has run it on every angle it can return.
     h_total = a0 I + (omega/2) n . sigma for the lab axis n at phi_star.
     """
-    omega, tau = _curve_point(ctask)(phi_star)
+    omega, tau = point(phi_star)
     c, s = math.cos(phi_star), math.sin(phi_star)
     x, y = _axis_xy(ctask.wind)
     _check_omega_residual(ctask.wind, x * c + y * s, omega)
@@ -538,8 +512,15 @@ def optimize(task):
 
 def _answer(task):
     """optimize's unverified answer: (answer, h_total) as _lab_answer returns them
-    at the control angle found by the search optimize describes."""
+    at the control angle found by the search optimize describes.
+
+    One _curve_point serves the refinement and the assembly. Each half's
+    grid minimum among its interior points is bracketed by its two grid
+    neighbours; _SCAN_PHIS carries 2 pi after the last grid angle, so both
+    exist in either half.
+    """
     ctask = canonicalize(task)
+    point = _curve_point(ctask)
     if ctask.wind.is_zero:
         # no wind: full throttle along the geodesic, no scan needed
         phi_star = np.pi / 2.0
@@ -549,7 +530,11 @@ def _answer(task):
         # scan indices of each half, ends included: pi lies in both
         scans = (slice(0, half + 1), slice(half, DEFAULT_GRID_POINTS))
         seen = []
-        objective = _refine_objective(ctask, seen)
+
+        def objective(phi):
+            seen.append(phi)
+            return point(phi)[1]
+
         bounds = _half_bounds(ctask)
         candidates = []
         for k in (0, 1) if bounds[0] <= bounds[1] else (1, 0):
@@ -559,7 +544,10 @@ def _answer(task):
                 break
             scan = scans[k]
             tau = _voyage_curve(ctask, _SCAN_PHIS[scan], _SCAN_COS[scan], _SCAN_SIN[scan]).tau
-            candidates.append(_refine_half(objective, tau, scan.start))
+            best = scan.start + 1 + np.argmin(tau[1:half])
+            candidates.append(
+                golden_min(objective, _SCAN_PHIS[best - 1], _SCAN_PHIS[best + 1], DEFAULT_PHI_TOL)
+            )
             if k == 0:
                 candidates += [(0.0, tau[0]), (np.pi, tau[half])]
             else:
@@ -567,4 +555,4 @@ def _answer(task):
         tau_best = min(c[1] for c in candidates)
         phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     alpha_of_phi(ctask.theta, np.asarray(seen))
-    return _lab_answer(ctask, phi_star)
+    return _lab_answer(ctask, point, phi_star)

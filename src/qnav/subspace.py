@@ -59,8 +59,8 @@ def detect_and_reduce(task):
     basis = np.column_stack([e1, e2])
 
     h0e = task.h0.matrix @ basis
-    inside = basis @ (basis.conj().T @ h0e)
-    leak = h0e - inside
+    block = basis.conj().T @ h0e
+    leak = h0e - basis @ block
     residual = float(np.max(np.linalg.norm(leak, axis=0)))
     if residual > INVARIANCE_TOL:
         raise NotInvariantError(
@@ -69,7 +69,7 @@ def detect_and_reduce(task):
         )
     return SubspaceReduction(
         basis=basis,
-        h0_block=HermitianOperator(basis.conj().T @ h0e),
+        h0_block=HermitianOperator(block),
         invariance_residual=residual,
     )
 

@@ -42,6 +42,7 @@ from conftest import (
     qft,
     random_traceless_hermitian,
     record_calls,
+    same_bits,
     wind_from_axis,
 )
 
@@ -115,7 +116,9 @@ def test_branch_validation():
         solve_gate_min_branch(task, -1)
 
 
-@pytest.mark.parametrize("branch", [(0.7, -0.7), (1.5, -1.5), (1.0, -1.0), ("1", "-1")])
+@pytest.mark.parametrize(
+    "branch", [(0.7, -0.7), (1.5, -1.5), (1.0, -1.0), ("1", "-1"), (np.float64(1.0), 0)]
+)
 def test_non_integral_branch_rejected_before_decomposition(monkeypatch, branch):
     """A fractional offset used to be truncated, so (0.7, -0.7) solved and
     reported branch (0, 0); every non-integer entry now raises, before the
@@ -135,11 +138,13 @@ def test_non_integral_branch_rejected_before_decomposition(monkeypatch, branch):
 def test_numpy_integer_branch_accepted():
     task = gate_task(z_rotation(0.4), wind_from_axis(0.2, [1.0, 0.0, 0.0]))
     plain = solve_gate(task, (1, -1))
-    for branch in (np.array([1, -1]), (np.int64(1), np.int32(-1))):
+    branches = (np.array([1, -1]), (np.int64(1), np.int32(-1)), (np.int64(1), np.int8(-1)), [True, -1])
+    for branch in branches:
         sol = solve_gate(task, branch)
         assert sol.branch == (1, -1)
         assert all(type(k) is int for k in sol.branch)
         assert sol.voyage_time == plain.voyage_time
+        assert same_bits(sol.generator.matrix, plain.generator.matrix)
 
 
 def test_branch_survey_matches_full_solver(rng):

@@ -25,7 +25,7 @@ from qnav.linalg import (
     SIGMA_Z,
     UNITARY_TOL,
     _as_square_complex,
-    branch_generator,
+    _integer_offsets,
     spectral_span,
     split_background,
     unitary_eigenphases,
@@ -155,11 +155,13 @@ def logm_unitary(u, branch_offsets=None):
     Eigenphases in the principal window (-pi, pi], ascending, each shifted
     by 2*pi*branch_offsets[k] (all zeros by default); NotUnitaryError when
     the result re-exponentiates to u with a residual above UNITARY_TOL.
+    The offsets pass the same validation as solve_gate's branch.
     """
     lam, q = unitary_eigenphases(u)
     if branch_offsets is None:
         branch_offsets = np.zeros(lam.size, dtype=int)
-    op = branch_generator(lam, q, branch_offsets)
+    offs = _integer_offsets(branch_offsets, lam.size)
+    op = HermitianOperator((q * (lam + 2.0 * np.pi * offs)) @ q.conj().T)
     resid = float(np.max(np.abs(expm_unitary(op, 1.0) - np.asarray(u, dtype=complex))))
     if resid > UNITARY_TOL:
         raise NotUnitaryError(f"log re-exponentiation residual {resid:.3e}")
@@ -266,16 +268,15 @@ def test_logm_rejects_bad_offsets():
 @pytest.mark.parametrize("offsets", [(0.7, -0.7), (1.5, 0.0), (1.0, 0.0), (np.float64(1.0), 0)])
 def test_branch_generator_rejects_non_integral_offsets(offsets):
     """Offsets used to be cast with dtype=int, so 0.7 became 0."""
-    lam, q = unitary_eigenphases(np.diag([np.exp(-0.3j), np.exp(0.3j)]))
     with pytest.raises(ValueError, match="integers"):
-        branch_generator(lam, q, offsets)
+        logm_unitary(np.diag([np.exp(-0.3j), np.exp(0.3j)]), offsets)
 
 
 def test_branch_generator_takes_numpy_integers():
-    lam, q = unitary_eigenphases(np.diag([np.exp(-0.3j), np.exp(0.3j)]))
-    want = branch_generator(lam, q, (1, -1)).matrix
+    u = np.diag([np.exp(-0.3j), np.exp(0.3j)])
+    want = logm_unitary(u, (1, -1)).matrix
     for offsets in (np.array([1, -1]), (np.int64(1), np.int8(-1)), [True, -1]):
-        assert branch_generator(lam, q, offsets).matrix.tobytes() == want.tobytes()
+        assert logm_unitary(u, offsets).matrix.tobytes() == want.tobytes()
 
 
 def test_hermitian_operator_symmetrizes_small_drift():

@@ -34,7 +34,7 @@ from qnav.state_nav import (
     DEFAULT_PHI_TOL,
     MAX_SWEEP_POINTS,
     CanonicalStateTask,
-    _refine_objective,
+    _curve_point,
     alpha_geometric,
     canonicalize,
     principal_voyage_time,
@@ -104,11 +104,23 @@ def test_rho_trivial_cases():
 
 
 def test_alpha_trivial_cases():
+    """On the boundary sin phi = 0 the principal angle is arccos(-1), exactly
+    pi, for scalar and array phi and across the non-degenerate, non-antipodal
+    separations; the branch rule keeps no case of its own there. The scalar
+    curve point gives (omega, pi / omega) at phi = 0, as tau_of_phi does."""
     assert alpha_of_phi(np.pi / 2.0, np.pi / 2.0) == pytest.approx(np.pi / 2.0)
     assert alpha_of_phi(np.pi / 2.0, 3.0 * np.pi / 2.0) == pytest.approx(3.0 * np.pi / 2.0)
     for theta in (0.3, 1.2, 2.8):
         assert alpha_of_phi(theta, np.pi) == pytest.approx(np.pi)
-        assert alpha_of_phi(theta, 0.0) == pytest.approx(np.pi)
+    wind = WindSpec(epsilon=0.3, axis=np.array([0.6, 0.0, 0.8]))
+    for theta in (1.01e-9, 1e-6, 0.3, 1.2, 2.8, np.pi - 0.08, np.pi - 1.01e-9):
+        for phi in (0.0, -0.0):
+            assert alpha_of_phi(theta, phi) == np.pi, (theta, phi)
+            assert np.array_equal(alpha_of_phi(theta, np.array([phi, phi])), [np.pi, np.pi])
+        ctask = CanonicalStateTask(theta=theta, frame=None, wind=wind, h0_trace_half=0.0)
+        curve = tau_of_phi(ctask, 0.0)
+        assert curve.alpha == np.pi
+        assert same_bits(_curve_point(ctask)(0.0), (curve.omega, np.pi / curve.omega)), theta
 
 
 NON_FINITE_PHI_CALLS = {
@@ -655,8 +667,8 @@ def test_mirror_y_alone_is_not_a_first_passage_symmetry():
     assert sol_b.tau_star > sol_a.tau_star + 1.0
 
 
-def test_refine_objective_matches_public_formulas_bitwise(rng):
-    """The hoisted scalar objective is alpha_of_phi / omega_of_phi to the last bit,
+def test_curve_point_matches_public_formulas_bitwise(rng):
+    """The scalar curve point's tau is alpha_of_phi / omega_of_phi to the last bit,
     in both halves and within 1e-6 of the joins at 0 and pi, and so is
     tau_of_phi, for one angle and for the whole array at once: optimize
     compares grid, refined and boundary taus."""
@@ -675,18 +687,16 @@ def test_refine_objective_matches_public_formulas_bitwise(rng):
                 [0.0, np.pi],
             ]
         )
-        seen = []
-        objective = _refine_objective(ctask, seen)
+        point = _curve_point(ctask)
         curve = tau_of_phi(ctask, phis)
         assert np.array_equal(curve.omega, omega_of_phi(ctask.wind, phis)), theta
         assert np.array_equal(curve.alpha, alpha_of_phi(ctask.theta, phis)), theta
         for k, phi in enumerate(map(float, phis)):
             expected = float(alpha_of_phi(ctask.theta, phi)) / float(omega_of_phi(ctask.wind, phi))
-            assert objective(phi) == expected, (theta, phi)
+            assert point(phi)[1] == expected, (theta, phi)
             single = tau_of_phi(ctask, phi)
             assert single.tau == expected, (theta, phi)
             assert (curve.omega[k], curve.alpha[k], curve.tau[k]) == single[1:], (theta, phi)
-        assert seen == [float(p) for p in phis]
 
 
 def test_optimize_cross_checks_every_refined_angle(monkeypatch):
@@ -780,6 +790,23 @@ def test_returned_angle_is_orientation_checked(monkeypatch, kind):
     monkeypatch.setattr(state_nav, "_alpha_geometric", shifted(1e-6))
     with pytest.raises(ArithmeticError, match="orientation branch disagrees"):
         optimize(task)
+
+
+def test_one_curve_point_per_solve(monkeypatch):
+    """A solve builds its task's scalar curve point once: the refinement and
+    the assembly evaluate the same one, with wind and without, and so does a
+    subspace solve on its block."""
+    calls = []
+    record_calls(monkeypatch, state_nav, "_curve_point", calls)
+    rng = np.random.default_rng(20241020)
+    for solve, task in (
+        (optimize, benchmark_task()),
+        (optimize, no_wind_task(1.1)),
+        (subspace.solve_embedded, benchmark_kind_task(rng, "subspace3")),
+    ):
+        calls.clear()
+        solve(task)
+        assert len(calls) == 1, solve.__name__
 
 
 def test_assembled_optimum_is_tau_of_phi_bitwise(rng):
@@ -1006,7 +1033,11 @@ def unpruned_optimize(task):
     n, half = DEFAULT_GRID_POINTS, DEFAULT_GRID_POINTS // 2
     tau = state_nav._voyage_curve(ctask, state_nav._SCAN_PHIS[:-1], state_nav._SCAN_COS, state_nav._SCAN_SIN).tau
     seen = []
-    objective = _refine_objective(ctask, seen)
+    point = _curve_point(ctask)
+
+    def objective(phi):
+        seen.append(phi)
+        return point(phi)[1]
 
     def refine(start, stop):
         best = start + np.argmin(tau[start:stop])
@@ -1016,7 +1047,7 @@ def unpruned_optimize(task):
     tau_best = min(c[1] for c in candidates)
     phi_star = min(c[0] for c in candidates if c[1] == tau_best)
     alpha_of_phi(ctask.theta, np.asarray(seen))
-    return state_nav._verified(task, *state_nav._lab_answer(ctask, phi_star), "solution")
+    return state_nav._verified(task, *state_nav._lab_answer(ctask, point, phi_star), "solution")
 
 
 def log_uniform(rng, lo, hi):
@@ -1170,3 +1201,97 @@ def test_task_rejects_strong_wind():
     psi_i, psi_f = symmetric_pair(1.0)
     with pytest.raises(WindTooStrongError):
         NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=wind_from_axis(1.1, [0, 0, 1.0]))
+
+
+def zermelo_time(task):
+    """T_Z, the least time in which any control at full budget, time-dependent
+    ones included, carries psi_i to psi_f; it shares nothing with the solver.
+
+    In the interaction picture of h0 the target is phi(T) = e^{i h0 T} psi_f,
+    and a control of unit budget turns the state on the Bloch sphere at rate
+    sqrt(2) at most, so T_Z is the root on (0, pi/sqrt(2)] of
+    g(T) = sqrt(2) T - (Bloch angle from psi_i to phi(T)). The wind turns
+    phi at rate sqrt(2 eps) at most, so g' >= sqrt(2) - sqrt(2 eps) > 0 and
+    bisection finds the root. phi comes from one eigh of the full h0. The
+    angle is the stable 2 atan2(|phi - <psi_i|phi> psi_i|, |<psi_i|phi>|):
+    2 arccos|<psi_i|phi>| loses T_Z's precision below theta ~ 1e-6.
+    Returns the upper end of the last bracket.
+    """
+    w, v = np.linalg.eigh(task.h0.matrix)
+    psi_i = task.psi_initial.amplitudes
+    coeffs = v.conj().T @ task.psi_final.amplitudes
+
+    def g(t):
+        phi = v @ (np.exp(1j * w * t) * coeffs)
+        o = np.vdot(psi_i, phi)
+        return math.sqrt(2.0) * t - 2.0 * math.atan2(np.linalg.norm(phi - o * psi_i), abs(o))
+
+    lo, hi = 0.0, np.pi / math.sqrt(2.0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_zermelo_time_bounds_every_benchmark_kind():
+    """No time-independent control beats the time-dependent optimum: T_Z <=
+    tau_star up to 1e-12 relative, on 32 solved seeded tasks of each
+    benchmark kind outside the small-theta defect band (that band is the
+    strict xfail below). Tasks the solver refuses are drawn again."""
+    for kind in BENCHMARK_KINDS:
+        if kind == "defect_small_theta":
+            continue
+        rng = np.random.default_rng([20241020, BENCHMARK_KINDS.index(kind)])
+        solved = 0
+        for _ in range(128):
+            task = benchmark_kind_task(rng, kind)
+            try:
+                sol = subspace.solve_embedded(task)
+            except (ArithmeticError, QnavError):
+                continue
+            assert zermelo_time(task) <= sol.tau_star * (1.0 + 1e-12), kind
+            solved += 1
+            if solved == 32:
+                break
+        assert solved == 32, kind
+
+
+def test_zermelo_time_is_the_answer_without_wind(rng):
+    """Without wind the geodesic at full throttle is optimal among all
+    controls, so T_Z equals tau_star within 1e-12 relative: qubit tasks with
+    a trace part, and n = 3 tasks whose background lives on the complement."""
+    for n in (2, 2, 2, 2, 3, 3):
+        u = haar_unitary(rng, n)
+        psi_i, psi_f = (u[:, :2] @ haar_state(rng).amplitudes for _ in range(2))
+        h0 = rng.uniform(-0.5, 0.5) * np.eye(n, dtype=complex)
+        if n > 2:
+            h0 += rng.normal() * np.outer(u[:, 2], u[:, 2].conj())
+        task = NavigationTask(StateVector(psi_i), StateVector(psi_f), HermitianOperator(h0))
+        tau = subspace.solve_embedded(task).tau_star
+        assert abs(zermelo_time(task) - tau) <= 1e-12 * tau
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the arccos separation gives times below T_Z for theta in [1e-7, 4e-4]",
+)
+def test_zermelo_time_bounds_small_separations():
+    """Seeded qubit tasks with theta log-uniform in [1e-7, 4e-4] and Haar
+    frames: tau_star falls below T_Z there, by up to 18% near theta = 1e-7,
+    because the solver's arccos separation loses precision at small theta."""
+    rng = np.random.default_rng(20241021)
+    for _ in range(40):
+        u = haar_unitary(rng)
+        pair = symmetric_pair(log_uniform(rng, 1e-7, 4e-4))
+        psi_i, psi_f = (StateVector(u @ p.amplitudes) for p in pair)
+        eps = rng.uniform(0.0, 0.9)
+        h0 = pauli_compose(rng.uniform(-0.5, 0.5), np.sqrt(eps / 2.0) * random_unit_axis(rng))
+        task = NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)
+        try:
+            tau = optimize(task).tau_star
+        except (ArithmeticError, QnavError):
+            continue
+        assert zermelo_time(task) <= tau * (1.0 + 1e-12)
