@@ -52,6 +52,9 @@ class GateTask:
 
     Construction splits h0 once with linalg.split_background, budget
     check included; every solve and survey on the task reads that split.
+    The gate relation is decomposed at most once, on first use: _relation
+    holds its read-only canonical phases and wind weights, which
+    solve_gate, branch_survey and solve_gate_min_branch all share.
     """
 
     u_initial: np.ndarray
@@ -79,6 +82,16 @@ class GateTask:
     @property
     def dim(self):
         return self.h0.dim
+
+    @functools.cached_property
+    def _relation(self):
+        """(lam, q, su_phase, weights): _canonical_phases and the diagonal
+        of the traceless h0 in the eigenbasis q, every array read-only."""
+        lam, q, su_phase = _canonical_phases(self)
+        weights = np.real(np.einsum("ij,ik,kj->j", q.conj(), self._h0_split[1].matrix, q))
+        for a in (lam, q, weights):
+            a.setflags(write=False)
+        return lam, q, su_phase, weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +175,7 @@ def _solve_fastest(task, survey, noop_message):
     argmin returns the first minimum, so ties go to the earliest row. The
     generator is q diag(phases) q^dagger on that row's phases.
     """
-    (_, q, su_phase), offs, phases, times = survey
+    (_, q, su_phase, _), offs, phases, times = survey
     if not times.size:
         raise NoOpGateError(noop_message)
     best = int(np.argmin(times))
@@ -234,17 +247,15 @@ _cached_offset_table = functools.lru_cache(maxsize=_OFFSET_CACHE_ENTRIES)(_build
 
 
 def _survey(task, offs):
-    """Canonical phases, the rows of the offset table offs, their generator
-    phases lam + 2 pi offs and their closed-form voyage times.
+    """The task's _relation, the rows of the offset table offs, their
+    generator phases lam + 2 pi offs and their closed-form voyage times.
 
-    Rows whose generator vanishes are dropped.
+    Rows whose generator vanishes are dropped. The relation is the task's
+    one decomposition, made on its first survey and read by every later one.
     """
-    canonical = _canonical_phases(task)
-    lam, q, _ = canonical
-    _, h0_traceless, strength = task._h0_split
-    # diagonal of h0 in the eigenbasis of the gate relation
-    weights = np.real(np.einsum("ij,ik,kj->j", q.conj(), h0_traceless.matrix, q))
-    c = 1.0 - strength
+    relation = task._relation
+    lam, _, _, weights = relation
+    c = 1.0 - task._h0_split[2]
     phases = lam + 2.0 * math.pi * offs
     # vecdot runs the same ddot inner loop as np.dot on one row, so every
     # b and a is bit-identical to a per-branch dot; einsum or @ is not
@@ -252,7 +263,7 @@ def _survey(task, offs):
     useful = b > NOOP_TRACE_TOL
     offs, phases, b = offs[useful], phases[useful], b[useful]
     a = np.vecdot(phases, weights)
-    return canonical, offs, phases, _voyage_time(a, b, c)
+    return relation, offs, phases, _voyage_time(a, b, c)
 
 
 def branch_survey(task, max_offset):

@@ -315,6 +315,18 @@ def test_solve_gate_takes_one_path_with_solve_gate_bytes(tmp_path, capsys, monke
             assert run(capsys, ["solve-gate", task]) == once
 
 
+def test_solve_gate_branch_table_decomposes_once(capsys, monkeypatch):
+    """solve-gate --max-branch solves through solve_gate_min_branch and lists
+    its branch table through branch_survey; both read the task's one
+    decomposition of the gate relation."""
+    calls = []
+    record_calls(monkeypatch, qnav.gate_nav, "unitary_eigenphases", calls)
+    code, out = run(capsys, ["solve-gate", str(REFERENCE / "gate.json"), "--max-branch", "2"])
+    assert code == 0
+    assert json.loads(out)["branch_table"]
+    assert len(calls) == 1
+
+
 def test_subspace_solve_is_traced_as_embed(capsys):
     """solve-state solves a subspace task through solve_embedded, so the
     benchmark's tracer (perfbench/tracing.py, only read) records a
