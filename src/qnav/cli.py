@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from . import __version__
-from .bloch import angular_separation
 from .errors import (
     DegenerateTaskError,
     DimensionError,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .gate_nav import branch_survey, solve_gate_min_branch
 from .oracle import passage_check, result_checks
-from .state_nav import DEFAULT_GRID_POINTS, rho_of_phi, sweep
+from .state_nav import DEFAULT_GRID_POINTS, canonicalize, rho_of_phi, sweep
 from .subspace import detect_and_reduce, solve_embedded
 from .taskio import (
     _json_number,
@@ -123,7 +122,7 @@ def cmd_sweep(args):
         raise TaskFileError("sweep needs a state task")
     task = loaded.task
     curve = sweep(task, n_points=args.points)
-    rho = rho_of_phi(angular_separation(task.psi_initial, task.psi_final), curve.phi)
+    rho = rho_of_phi(canonicalize(task).theta, curve.phi)
     columns = (curve.phi, curve.omega, rho, curve.alpha, curve.tau)
     rows = ["%.16e,%.16e,%.16e,%.16e,%.16e\n" % row for row in zip(*(c.tolist() for c in columns))]
     _emit("phi,omega,rho,alpha,tau\n" + "".join(rows), args.out)

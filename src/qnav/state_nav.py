@@ -9,6 +9,7 @@ time tau(phi) = alpha/omega, minimizes tau over phi, and assembles the
 optimal total and control Hamiltonians back in lab coordinates.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -83,6 +84,14 @@ class NavigationTask:
     A qubit task splits h0 once when built, with split_background, and
     canonicalize reads that split. Larger tasks keep None there: the
     qubit task that solve_embedded builds on their two-state block splits.
+    The rest of the preparation is built at most once, on first use, and
+    kept read-only on the task. For a qubit task, _canonical holds
+    canonicalize's frame, wind and trace bookkeeping. For a larger one,
+    _reduction holds detect_and_reduce's SubspaceReduction, and _block the
+    qubit task on that block (which keeps its own canonical form) and the
+    complement term that solve_embedded adds. Every optimize, sweep and
+    solve_embedded on the task reads them; a preparation that raises is not
+    kept and raises again on the next call.
     """
 
     psi_initial: StateVector
@@ -104,15 +113,58 @@ class NavigationTask:
         if self.h0.dim == 2:
             object.__setattr__(self, "_h0_split", split_background(self.h0))
 
+    @functools.cached_property
+    def _canonical(self):
+        """canonicalize's CanonicalStateTask; DimensionError unless a qubit task."""
+        if self.psi_initial.dim != 2:
+            raise DimensionError(
+                "direct navigation handles qubit tasks; reduce larger dims first"
+            )
+        frame = build_canonical_frame(self.psi_initial, self.psi_final)
+        trace_half, traceless, _ = self._h0_split
+        return CanonicalStateTask(
+            theta=frame.theta,
+            frame=frame,
+            wind=_traceless_wind(frame, traceless),
+            h0_trace_half=trace_half,
+        )
+
+    @functools.cached_property
+    def _reduction(self):
+        """detect_and_reduce's SubspaceReduction, from subspace._reduce."""
+        from .subspace import _reduce  # subspace builds on this module
+
+        return _reduce(self)
+
+    @functools.cached_property
+    def _block(self):
+        """solve_embedded's qubit block task and complement term, from subspace._block."""
+        from .subspace import _block
+
+        return _block(self)
+
 
 @dataclass(frozen=True, eq=False)
 class CanonicalStateTask:
-    """Canonicalized problem data: separation, frame, wind, trace bookkeeping."""
+    """Canonicalized problem data: separation, frame, wind, trace bookkeeping.
+
+    optimize's curve constants are built at most once, on first use, and
+    kept here: _point is the task's _curve_point and _bounds its
+    _half_bounds.
+    """
 
     theta: float
     frame: CanonicalFrame
     wind: WindSpec
     h0_trace_half: float
+
+    @functools.cached_property
+    def _point(self):
+        return _curve_point(self)
+
+    @functools.cached_property
+    def _bounds(self):
+        return _half_bounds(self)
 
 
 class VoyageCurve(NamedTuple):
@@ -139,20 +191,14 @@ class NavigationSolution:
 
 
 def canonicalize(task):
-    """Canonical frame, wind spec and trace bookkeeping for a qubit task."""
-    if task.psi_initial.dim != 2:
-        raise DimensionError(
-            "direct navigation handles qubit tasks; reduce larger dims first"
-        )
-    frame = build_canonical_frame(task.psi_initial, task.psi_final)
-    trace_half, traceless, _ = task._h0_split
-    wind = _traceless_wind(frame, traceless)
-    return CanonicalStateTask(
-        theta=frame.theta,
-        frame=frame,
-        wind=wind,
-        h0_trace_half=trace_half,
-    )
+    """Canonical frame, wind spec and trace bookkeeping for a qubit task.
+
+    Built at most once per task, on first use, and kept on it: every later
+    call returns the same CanonicalStateTask, whose frame rotation and wind
+    axis are read-only. DimensionError for a larger task and
+    DegenerateTaskError for coinciding states are raised on every call.
+    """
+    return task._canonical
 
 
 def _axis_xy(wind):
@@ -514,13 +560,14 @@ def _answer(task):
     """optimize's unverified answer: (answer, h_total) as _lab_answer returns them
     at the control angle found by the search optimize describes.
 
-    One _curve_point serves the refinement and the assembly. Each half's
+    The task's one _curve_point (ctask._point) serves the refinement and
+    the assembly of every solve. Each half's
     grid minimum among its interior points is bracketed by its two grid
     neighbours; _SCAN_PHIS carries 2 pi after the last grid angle, so both
     exist in either half.
     """
     ctask = canonicalize(task)
-    point = _curve_point(ctask)
+    point = ctask._point
     if ctask.wind.is_zero:
         # no wind: full throttle along the geodesic, no scan needed
         phi_star = np.pi / 2.0
@@ -535,7 +582,7 @@ def _answer(task):
             seen.append(phi)
             return point(phi)[1]
 
-        bounds = _half_bounds(ctask)
+        bounds = ctask._bounds
         candidates = []
         for k in (0, 1) if bounds[0] <= bounds[1] else (1, 0):
             if candidates and bounds[k] > min(c[1] for c in candidates) * (1.0 + _PRUNE_MARGIN):

@@ -14,6 +14,7 @@ import qnav
 import qnav.cli
 import qnav.gate_nav
 import qnav.oracle
+import qnav.subspace
 from qnav.cli import main
 from qnav.linalg import HermitianOperator, StateVector, spectral_span
 from qnav.state_nav import MAX_SWEEP_POINTS, canonicalize, rho_of_phi, sweep
@@ -346,6 +347,17 @@ def test_subspace_solve_is_traced_as_embed(capsys):
     assert untraced[0] == 0
     assert "subspace.embed" in [name for _, name, _, _, _ in tracer.spans]
     assert tracer.counts["oracle.samples"] > 0
+
+
+def test_subspace_solve_state_reduces_once(capsys, monkeypatch):
+    """solve-state on a subspace task reads invariance_residual off the
+    reduction that solve_embedded solves on: the reduction's work, its one
+    distinct_separation, runs once."""
+    calls = []
+    record_calls(monkeypatch, qnav.subspace, "distinct_separation", calls)
+    code, _ = run(capsys, ["solve-state", str(REFERENCE / "subspace.json")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_subspace_pipeline(tmp_path, capsys):

@@ -186,6 +186,25 @@ def test_frame_and_alpha_share_the_antipodal_rule(monkeypatch):
         assert frame.antipodal_tiebreak == half_turn == (theta >= edge)
 
 
+def test_task_builds_its_canonical_frame_once(monkeypatch):
+    """optimize, sweep and optimize again on one task build one canonical
+    frame, one curve point and one pair of half bounds; canonicalize
+    returns the task's one CanonicalStateTask."""
+    task = benchmark_task()
+    calls = []
+    for name in ("build_canonical_frame", "_curve_point", "_half_bounds"):
+        record_calls(monkeypatch, state_nav, name, calls)
+    optimize(task)
+    sweep(task, 64)
+    optimize(task)
+    assert sorted(name for name, _ in calls) == [
+        "qnav.state_nav._curve_point",
+        "qnav.state_nav._half_bounds",
+        "qnav.state_nav.build_canonical_frame",
+    ]
+    assert canonicalize(task) is canonicalize(task)
+
+
 def test_alpha_orientation_consistency(rng):
     """Branch rule against explicit rotation geometry, in bulk."""
     n = 100_000

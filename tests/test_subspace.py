@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -14,15 +15,20 @@ from qnav import (
     NotInvariantError,
     StateVector,
     WindTooStrongError,
+    DimensionError,
     detect_and_reduce,
     optimize,
     solve_embedded,
+    sweep,
 )
 from qnav.oracle import checked_control
+from qnav.state_nav import canonicalize
 
 from conftest import (
+    haar_state,
     haar_unitary,
     random_traceless_hermitian,
+    random_unit_axis,
     record_calls,
     same_bits,
     symmetric_pair,
@@ -255,3 +261,148 @@ def test_embedded_solve_verifies_once(n, rng, monkeypatch):
             assert same_bits(getattr(got, name), getattr(want, name)), name
         assert same_bits(got.h_total.matrix, want.h_total.matrix)
         assert same_bits(got.h_control.matrix, want.h_control.matrix)
+
+
+# the task kinds of the benchmark's state pool, each at a seeded draw:
+# separation theta (None: two Haar states) and wind strength eps (None:
+# uniform below 0.9), or the block-invariant task of that many levels
+PREPARED_KINDS = {
+    "haar": (None, None),
+    "strong_wind": (None, 0.85),
+    "small_theta": (0.02, None),
+    "near_antipodal": (np.pi - 0.2, None),
+    "subspace3": 3,
+    "subspace4": 4,
+}
+
+
+def prepared_kind_builder(rng, kind):
+    """Builder of fresh, equal tasks of one PREPARED_KINDS kind, drawn from rng."""
+    spec = PREPARED_KINDS[kind]
+    if isinstance(spec, int):
+        task = invariant_task(rng, spec)
+        return functools.partial(NavigationTask, task.psi_initial, task.psi_final, task.h0)
+    theta, eps = spec
+    if theta is None:
+        psi_i, psi_f = haar_state(rng), haar_state(rng)
+    else:
+        u = haar_unitary(rng)
+        psi_i, psi_f = (StateVector(u @ p.amplitudes) for p in symmetric_pair(theta))
+    eps = float(rng.uniform(0.0, 0.9)) if eps is None else eps
+    h0 = wind_from_axis(eps, random_unit_axis(rng)).matrix + rng.uniform(-0.5, 0.5) * np.eye(2)
+    return functools.partial(NavigationTask, psi_i, psi_f, HermitianOperator(h0))
+
+
+def solution_bits(sol):
+    """Every field of a NavigationSolution as bytes, operators as their matrices'."""
+    return {
+        name: np.asarray(value.matrix if isinstance(value, HermitianOperator) else value).tobytes()
+        for name, value in vars(sol).items()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(PREPARED_KINDS))
+def test_repeated_solves_match_a_fresh_task(kind, rng):
+    """A task keeps its preparation, not its answers: optimize twice, sweep
+    after optimize, and solve_embedded twice on one task return, bit for
+    bit, what the first call on a fresh, equal task returns."""
+    for _ in range(3):
+        build = prepared_kind_builder(rng, kind)
+        task = build()
+        if task.psi_initial.dim == 2:
+            first = solution_bits(optimize(task))
+            assert solution_bits(optimize(task)) == first
+            again = sweep(task, 64)
+            fresh = sweep(build(), 64)
+            assert all(same_bits(a, b) for a, b in zip(again, fresh))
+            assert solution_bits(optimize(build())) == first
+        first = solution_bits(solve_embedded(task))
+        assert solution_bits(solve_embedded(task)) == first
+        assert solution_bits(solve_embedded(build())) == first
+
+
+def test_prepared_arrays_are_read_only(rng):
+    """Every array a task keeps is read-only: the canonical frame rotation and
+    wind axis, the reduction's basis and h0_block, the complement term and the
+    block task's own frame; later calls return the same objects."""
+    qubit = prepared_kind_builder(rng, "haar")()
+    ctask = canonicalize(qubit)
+    task = invariant_task(rng, 3)
+    solve_embedded(task)
+    red = detect_and_reduce(task)
+    block_task, complement = task._block
+    block_ctask = canonicalize(block_task)
+    arrays = (
+        ctask.frame.rotation,
+        ctask.wind.axis,
+        red.basis,
+        red.h0_block.matrix,
+        complement,
+        block_ctask.frame.rotation,
+        block_ctask.wind.axis,
+    )
+    for cached in arrays:
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    solve_embedded(task)
+    assert canonicalize(qubit) is ctask
+    assert detect_and_reduce(task) is red
+    assert task._block[1] is complement
+    assert canonicalize(task._block[0]) is block_ctask
+
+
+def test_embedded_task_is_prepared_once(rng, monkeypatch):
+    """Two solves of one n = 3 task reduce once, split the block's background
+    once and build the block's canonical frame once."""
+    task = invariant_task(rng, 3)
+    calls = []
+    record_calls(monkeypatch, qnav.subspace, "distinct_separation", calls)
+    record_calls(monkeypatch, qnav.state_nav, "split_background", calls)
+    record_calls(monkeypatch, qnav.state_nav, "build_canonical_frame", calls)
+    solve_embedded(task)
+    solve_embedded(task)
+    detect_and_reduce(task)
+    assert sorted(name for name, _ in calls) == [
+        "qnav.state_nav.build_canonical_frame",
+        "qnav.state_nav.split_background",
+        "qnav.subspace.distinct_separation",
+    ]
+
+
+def _coupled_task():
+    h0 = block_diag(wind_from_axis(0.5, [0.0, 0.0, 1.0]).matrix, np.array([[0.4]]))
+    h0[0, 2] = h0[2, 0] = 1e-3
+    psi_f = StateVector([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0])
+    return NavigationTask(StateVector([1.0, 0.0, 0.0]), psi_f, HermitianOperator(h0))
+
+
+def _coinciding_task(n):
+    psi = np.zeros(n, dtype=complex)
+    psi[0] = 1.0
+    same = StateVector(np.exp(1j * 0.3) * psi)
+    return NavigationTask(StateVector(psi), same, HermitianOperator(np.eye(n)))
+
+
+@pytest.mark.parametrize(
+    "make, calls, error",
+    [
+        pytest.param(lambda: _coinciding_task(2), (canonicalize, optimize, solve_embedded),
+                     DegenerateTaskError, id="degenerate-qubit"),
+        pytest.param(lambda: _coinciding_task(3), (detect_and_reduce, solve_embedded),
+                     DegenerateTaskError, id="degenerate-n3"),
+        pytest.param(_coupled_task, (detect_and_reduce, solve_embedded),
+                     NotInvariantError, id="not-invariant"),
+        pytest.param(lambda: invariant_task(np.random.default_rng(7), 3), (canonicalize,),
+                     DimensionError, id="canonicalize-n3"),
+    ],
+)
+def test_failed_preparation_is_not_kept(make, calls, error):
+    """A preparation that raises keeps nothing, its error included: every
+    call prepares again and raises again."""
+    task = make()
+    for _ in range(3):
+        for call in calls:
+            with pytest.raises(error):
+                call(task)
+            assert not {"_canonical", "_reduction", "_block"} & set(vars(task))
