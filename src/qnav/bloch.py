@@ -5,7 +5,6 @@ the initial and target states symmetrically about the equator in the
 xz-plane, with the background axis rotated along.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +94,6 @@ class CanonicalFrame:
         return self.rotation.T @ np.asarray(v, dtype=float)
 
 
-def _norm(v):
-    """Euclidean length of a real 1-D vector as a float.
-
-    The reduction np.linalg.norm runs for such a vector, sqrt(v . v), so
-    bit for bit its value, without its dispatch.
-    """
-    return math.sqrt(v.dot(v))
-
-
 def _tiebreak_unit_orthogonal(b_hat):
     """Deterministic unit vector orthogonal to b_hat.
 
@@ -114,7 +104,7 @@ def _tiebreak_unit_orthogonal(b_hat):
     e = np.zeros(3)
     e[k] = 1.0
     e -= np.dot(e, b_hat) * b_hat
-    return e / _norm(e)
+    return e / np.linalg.norm(e)
 
 
 def _cross(a, b):
@@ -135,16 +125,16 @@ def build_canonical_frame(psi_i, psi_f):
     b_f = state_to_bloch(psi_f)
     _, theta = distinct_separation(psi_i, psi_f)
     z_ax = b_i - b_f
-    z_ax = z_ax / _norm(z_ax)
+    z_ax = z_ax / np.linalg.norm(z_ax)
     antipodal = _antipodal(theta)
     if antipodal:
         x_ax = _tiebreak_unit_orthogonal(z_ax)
     else:
         x_ax = b_i + b_f
-        x_ax = x_ax / _norm(x_ax)
+        x_ax = x_ax / np.linalg.norm(x_ax)
         # one Gram-Schmidt pass keeps orthogonality at machine precision
         z_ax -= np.dot(z_ax, x_ax) * x_ax
-        z_ax /= _norm(z_ax)
+        z_ax /= np.linalg.norm(z_ax)
     y_ax = _cross(z_ax, x_ax)
     rot = np.array([x_ax, y_ax, z_ax])
     return CanonicalFrame(rotation=rot, theta=float(theta), antipodal_tiebreak=antipodal)
@@ -175,7 +165,7 @@ class WindSpec:
         ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,):
             raise DimensionError(f"axis must have shape (3,), got {ax.shape}")
-        norm = _norm(ax)
+        norm = float(np.linalg.norm(ax))
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"axis norm {norm!r} deviates from 1 beyond 1e-12")
         ax = ax / norm
@@ -190,12 +180,10 @@ class WindSpec:
 def _traceless_wind(frame, traceless):
     """WindSpec of a traceless 2x2 background, its axis in frame's canonical coordinates."""
     _, a = pauli_decompose(traceless)
-    sq = float(a.dot(a))
-    eps = 2.0 * sq
+    eps = 2.0 * float(a.dot(a))
     if eps == 0.0:
         return WindSpec(epsilon=0.0, axis=None)
-    # sqrt(a . a) is _norm(a), from the dot product already taken
-    axis_lab = a / math.sqrt(sq)
+    axis_lab = a / np.linalg.norm(a)
     return WindSpec(epsilon=eps, axis=frame.to_canonical(axis_lab))
 
 

@@ -158,8 +158,12 @@ def hs_trace_product(a, b):
     if a.dim != b.dim:
         raise DimensionError(f"dim mismatch {a.dim} vs {b.dim}")
     t = complex((a.matrix @ b.matrix).trace())
-    # tr(AB) is real for Hermitian A, B; a sizeable imaginary part means a bug upstream
-    if abs(t.imag) > 1e-12:
+    # tr(AB) is real for Hermitian A, B, and |tr(AB)| <= |A|_F |B|_F: an
+    # imaginary part above 1e-12 of that bound is more than rounding and means
+    # a bug upstream; the bound is formed only past 1e-12 absolute
+    if abs(t.imag) > 1e-12 and abs(t.imag) > 1e-12 * (
+        np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
+    ):
         raise ArithmeticError(f"trace product has imaginary part {t.imag:.3e}")
     return t.real
 

@@ -23,6 +23,7 @@ from qnav.taskio import complex_pairs, load_task, matrix_pairs
 from conftest import (
     benchmark_axis,
     haar_unitary,
+    qft,
     random_traceless_hermitian,
     record_calls,
     symmetric_pair,
@@ -652,6 +653,17 @@ def test_exit_code_wind_too_strong(tmp_path, capsys):
     task = write_json(tmp_path / "t.json", state_doc(epsilon=1.2))
     code, _ = run(capsys, ["solve-state", task])
     assert code == 3
+
+
+def test_large_gate_wind_matrix_exits_three(tmp_path, capsys):
+    """A three-level gate wind with entries near 1e4 is too strong (exit 3),
+    not an internal verification failure from its strength's rounding."""
+    z = np.random.default_rng(0).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    h0 = 1e4 * 0.5 * (z + z.conj().T)
+    doc = gate_doc(u_initial=matrix_pairs(np.eye(3)), u_final=matrix_pairs(qft(3)))
+    doc["wind"] = {"matrix": matrix_pairs(h0)}
+    assert main(["solve-gate", write_json(tmp_path / "g.json", doc)]) == 3
+    assert "reaches the unit control budget" in capsys.readouterr().err
 
 
 def test_nan_wind_is_a_wind_error(tmp_path, capsys):

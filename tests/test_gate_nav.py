@@ -262,6 +262,19 @@ def test_task_validation(rng):
         GateTask(u_initial=good, u_final=haar_unitary(rng), h0=wind_from_axis(1.2, [0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_strong_wind_is_too_strong_at_any_scale(rng, n):
+    """A background far above the budget is refused as too strong: the
+    imaginary rounding of its strength tr(h0^2), which grows with the
+    entries, is not taken for a bug."""
+    for scale in (1e2, 1e4, 1e6, 1e8):
+        for _ in range(20):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h0 = HermitianOperator(scale * 0.5 * (z + z.conj().T))
+            with pytest.raises(WindTooStrongError):
+                gate_task(haar_unitary(rng, n), h0)
+
+
 def test_task_freezes_inputs(rng):
     src = haar_unitary(rng)
     task = gate_task(src.copy(), wind_from_axis(0.3, [0.0, 1.0, 0.0]))

@@ -99,6 +99,23 @@ def test_hs_trace_product_nonnegative_on_squares(rng):
             assert hs_trace_product(h, h) >= 0.0
 
 
+def test_hs_trace_product_imaginary_guard_is_relative(rng):
+    """Rounding of tr(h h) at large entries passes, while an imaginary part
+    from a matrix made non-Hermitian behind the type's back still raises,
+    at unit scale and at 1e4."""
+    for dim in (3, 5):
+        h = random_traceless_hermitian(rng, dim)
+        big = HermitianOperator(1e4 * h.matrix)
+        assert hs_trace_product(big, big) == np.trace(big.matrix @ big.matrix).real
+    for scale in (1.0, 1e4):
+        skewed = HermitianOperator(scale * np.eye(3))
+        m = skewed.matrix.copy()
+        m[0, 0] += 1e-6j * scale
+        object.__setattr__(skewed, "matrix", m)
+        with pytest.raises(ArithmeticError, match="trace product has imaginary part"):
+            hs_trace_product(skewed, HermitianOperator(scale * np.eye(3)))
+
+
 def test_hs_trace_product_dim_mismatch():
     with pytest.raises(DimensionError):
         hs_trace_product(HermitianOperator(np.eye(2)), HermitianOperator(np.eye(3)))

@@ -110,6 +110,28 @@ def test_passage_check_gap_and_verdict():
         assert qnav.oracle.passage_check(sol.h_total, task.psi_initial, task.psi_final, tau)[2] is want
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="ROADMAP item 4: the window's step comes from the full spectral span, "
+    "not from the span of the components psi_initial weighs",
+)
+def test_passage_window_ignores_the_complement_spectrum():
+    """The reference subspace task with its complement eigenvalue raised from
+    1.7 to 1e5 solves, and its passage should agree. The states never leave
+    their block, whose span is 1.59 (about 900 samples), but the step is
+    taken from the full span 1e5, and the 5.6e7 samples that needs exceed
+    MAX_ORACLE_SAMPLES."""
+    s = 1.0 / np.sqrt(2.0)
+    task = NavigationTask(
+        psi_initial=StateVector([1.0, 0.0, 0.0]),
+        psi_final=StateVector([s, s, 0.0]),
+        h0=HermitianOperator(np.diag([0.5, -0.5, 1e5])),
+    )
+    sol = solve_embedded(task)
+    assert qnav.oracle.passage_check(sol.h_total, task.psi_initial, task.psi_final, sol.tau_star)[2]
+
+
 def test_oracle_confirms_navigator_at_many_angles(rng):
     ctask = canonicalize(benchmark_task())
     task = benchmark_task()
