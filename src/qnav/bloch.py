@@ -177,10 +177,16 @@ class WindSpec:
         return self.epsilon == 0.0
 
 
-def _traceless_wind(frame, traceless):
-    """WindSpec of a traceless 2x2 background, its axis in frame's canonical coordinates."""
+def _pauli_wind(traceless):
+    """(a, eps): the read-only Pauli vector of a traceless 2x2 background and
+    its strength eps = 2|a|^2, the rounding of tr(traceless^2) that WindSpec holds."""
     _, a = pauli_decompose(traceless)
-    eps = 2.0 * float(a.dot(a))
+    a.setflags(write=False)
+    return a, 2.0 * float(a.dot(a))
+
+
+def _traceless_wind(frame, a, eps):
+    """WindSpec of the _pauli_wind (a, eps), its axis in frame's canonical coordinates."""
     if eps == 0.0:
         return WindSpec(epsilon=0.0, axis=None)
     axis_lab = a / np.linalg.norm(a)

@@ -134,8 +134,6 @@ def cmd_solve_gate(args):
     if loaded.mode != "gate":
         raise TaskFileError("solve-gate needs a gate task")
     task = loaded.task
-    if args.max_branch < 0:
-        raise TaskFileError(f"--max-branch must be >= 0, got {args.max_branch}")
     solution = solve_gate_min_branch(task, args.max_branch)
 
     doc = {

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, NoOpGateError
 from .linalg import (
+    UNITARY_TOL,
     HermitianOperator,
-    _integer_offsets,
     require_unitary,
     split_background,
     unitary_eigenphases,
@@ -131,7 +131,11 @@ def _canonical_phases(task):
         # pick the coset, so the angle is read on the +pi side
         det_angle += 2.0 * math.pi
     su_phase = det_angle / n
-    lam, q = unitary_eigenphases(rel * np.exp(-1j * su_phase))
+    # u_initial and u_final each pass with E = u^H u - I, max |E| <= d =
+    # UNITARY_TOL, so |E|_2 <= n d and rel^H rel - I = (u_i u_i^H - I) +
+    # u_i E_f u_i^H has max entry <= n d + (1 + n d) n d: 3 n d holds every
+    # admitted pair, the rounding of the products included
+    lam, q = unitary_eigenphases(rel * np.exp(-1j * su_phase), tol=3 * n * UNITARY_TOL)
     wraps = int(round(float(np.sum(lam)) / (2.0 * math.pi)))
     # lam is ascending, so its largest and smallest phases are its two ends
     if wraps > 0:
@@ -147,6 +151,25 @@ def _voyage_time(a, b, c):
     return b / (disc + a)
 
 
+def _branch_offsets(branch, n):
+    """A log branch as an int array of shape (n,): the one check of a branch.
+
+    DimensionError for another shape. ValueError for an entry that is not an
+    integer (operator.index fails, so 0.7 is never truncated to 0), then for
+    offsets that do not sum to zero.
+    """
+    raw = np.asarray(branch)
+    if raw.shape != (n,):
+        raise DimensionError(f"branch offsets must have length {n}, got shape {raw.shape}")
+    try:
+        offs = np.array([operator.index(k) for k in raw.tolist()], dtype=int)
+    except TypeError:
+        raise ValueError(f"branch offsets must be integers, got {raw.tolist()}") from None
+    if int(offs.sum()) != 0:
+        raise ValueError(f"branch offsets must sum to zero, got {offs.tolist()}")
+    return offs
+
+
 def solve_gate(task, branch=None):
     """Closed-form optimal Hamiltonian for a gate task on a fixed log branch.
 
@@ -154,14 +177,14 @@ def solve_gate(task, branch=None):
     canonical eigenphase; offsets must sum to zero so the generator
     stays traceless. Defaults to all zeros. A branch of the wrong length,
     with a non-integral entry or a nonzero sum is refused before the gate
-    relation is decomposed. The voyage time is the branch's row of
-    branch_survey, bit for bit.
+    relation is decomposed. Offsets that differ inside an exactly degenerate
+    eigenphase cluster give a generator that depends on the cluster's
+    arbitrary basis. The voyage time is the branch's row of branch_survey,
+    bit for bit.
     """
     if branch is None:
         branch = (0,) * task.dim
-    offs = _integer_offsets(branch, task.dim)
-    if int(offs.sum()) != 0:
-        raise ValueError(f"branch offsets must sum to zero, got {offs.tolist()}")
+    offs = _branch_offsets(branch, task.dim)
     return _solve_fastest(
         task,
         _survey(task, offs[np.newaxis]),
@@ -175,9 +198,10 @@ def _solve_fastest(task, survey, noop_message):
     argmin returns the first minimum, so ties go to the earliest row. The
     generator is q diag(phases) q^dagger on that row's phases.
     """
-    (_, q, su_phase, _), offs, phases, times = survey
+    offs, phases, times = survey
     if not times.size:
         raise NoOpGateError(noop_message)
+    _, q, su_phase, _ = task._relation
     best = int(np.argmin(times))
     t_voyage = times[best]
     x = HermitianOperator((q * phases[best]) @ q.conj().T)
@@ -203,9 +227,10 @@ def _offset_table(n, max_offset):
     """Read-only zero-sum offset vectors with entries in [-max_offset, max_offset].
 
     Rows come in lexicographic order so that ties in voyage time resolve
-    to the lexicographically smallest vector. The box of leading offsets
-    is checked against MAX_BRANCH_CANDIDATES before any table is looked
-    up or allocated.
+    to the lexicographically smallest vector. This is the one statement of
+    the offset bound: ValueError for a negative max_offset, or for a box of
+    leading offsets beyond MAX_BRANCH_CANDIDATES, before any table is
+    looked up or allocated.
 
     A table depends only on (n, max_offset), so tables of boxes with at
     most _OFFSET_CACHE_MAX_CELLS entries ((2*max_offset + 1)^(n - 1) rows
@@ -219,12 +244,12 @@ def _offset_table(n, max_offset):
     n = operator.index(n)
     max_offset = operator.index(max_offset)
     if max_offset < 0:
-        raise ValueError(f"max_offset must be >= 0, got {max_offset}")
+        raise ValueError(f"branch offset bound must be >= 0, got {max_offset}")
     box = (2 * max_offset + 1) ** (n - 1)
     if box > MAX_BRANCH_CANDIDATES:
         raise ValueError(
             f"branch box (2*{max_offset}+1)^{n - 1} = {box} exceeds "
-            f"MAX_BRANCH_CANDIDATES = {MAX_BRANCH_CANDIDATES}; lower max_offset"
+            f"MAX_BRANCH_CANDIDATES = {MAX_BRANCH_CANDIDATES}; lower the offset bound"
         )
     if box * n <= _OFFSET_CACHE_MAX_CELLS:
         return _cached_offset_table(n, max_offset)
@@ -247,14 +272,13 @@ _cached_offset_table = functools.lru_cache(maxsize=_OFFSET_CACHE_ENTRIES)(_build
 
 
 def _survey(task, offs):
-    """The task's _relation, the rows of the offset table offs, their
+    """(offs, phases, times): the rows of the offset table offs, their
     generator phases lam + 2 pi offs and their closed-form voyage times.
 
-    Rows whose generator vanishes are dropped. The relation is the task's
+    Rows whose generator vanishes are dropped. The task's _relation is its
     one decomposition, made on its first survey and read by every later one.
     """
-    relation = task._relation
-    lam, _, _, weights = relation
+    lam, _, _, weights = task._relation
     c = 1.0 - task._h0_split[2]
     phases = lam + 2.0 * math.pi * offs
     # vecdot runs the same ddot inner loop as np.dot on one row, so every
@@ -263,7 +287,7 @@ def _survey(task, offs):
     useful = b > NOOP_TRACE_TOL
     offs, phases, b = offs[useful], phases[useful], b[useful]
     a = np.vecdot(phases, weights)
-    return relation, offs, phases, _voyage_time(a, b, c)
+    return offs, phases, _voyage_time(a, b, c)
 
 
 def branch_survey(task, max_offset):
@@ -276,7 +300,7 @@ def branch_survey(task, max_offset):
     Raises ValueError for a negative max_offset or a box beyond
     MAX_BRANCH_CANDIDATES.
     """
-    _, offs, _, times = _survey(task, _offset_table(task.dim, max_offset))
+    offs, _, times = _survey(task, _offset_table(task.dim, max_offset))
     return list(zip(map(tuple, offs.tolist()), times.tolist()))
 
 

@@ -2,12 +2,10 @@
 
 Pauli composition and decomposition, Hermitian and unitary checks,
 matrix exponentials of Hermitian generators, eigenphases of unitaries,
-the validation of integer log-branch offsets, Hilbert-Schmidt trace
-products. Everything here targets dims up to ~8, so eigendecomposition is
-used throughout instead of Pade-style schemes.
+Hilbert-Schmidt trace products. Everything here targets dims up to ~8, so
+eigendecomposition is used throughout instead of Pade-style schemes.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,8 +58,9 @@ class HermitianOperator:
     """Dense Hermitian matrix, stored in exactly Hermitian form.
 
     Construction averages the input with its adjoint and rejects inputs
-    whose anti-Hermitian drift exceeds HERMITIAN_DRIFT_TOL, so roundoff
-    from upstream arithmetic is absorbed but genuine errors are not.
+    whose anti-Hermitian drift max |a - a^H| exceeds HERMITIAN_DRIFT_TOL
+    times max(1, |a|_F), so roundoff from upstream arithmetic, which grows
+    with the entries, is absorbed but genuine errors are not.
 
     The operator decomposes itself at most once: _eigh holds the read-only
     np.linalg.eigh arrays (w, v) of the matrix from their first use, so
@@ -74,9 +73,11 @@ class HermitianOperator:
         a = _as_square_complex(self.matrix, "Hermitian operator")
         adj = a.conj().T
         drift = np.abs(a - adj).max()
-        if drift > HERMITIAN_DRIFT_TOL:
+        # the Frobenius norm is formed only past the absolute bound
+        if drift > HERMITIAN_DRIFT_TOL and drift > HERMITIAN_DRIFT_TOL * np.linalg.norm(a):
             raise NotHermitianError(
                 f"anti-Hermitian drift {drift:.3e} exceeds {HERMITIAN_DRIFT_TOL:.0e}"
+                " times max(1, Frobenius norm)"
             )
         sym = 0.5 * (a + adj)
         sym.setflags(write=False)
@@ -176,26 +177,24 @@ def expm_unitary(h, t):
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
-def require_unitary(u, what="matrix"):
-    """Validate unitarity within UNITARY_TOL and return the array."""
+def require_unitary(u, what="matrix", tol=UNITARY_TOL):
+    """Validate unitarity, max |u^H u - I| <= tol, and return the array."""
     a = _as_square_complex(u, what)
     dev = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
-    if dev > UNITARY_TOL:
+    if dev > tol:
         raise NotUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
     return a
 
 
-def unitary_eigenphases(u):
-    """Eigenphases and eigenvectors of a unitary u = e^{-i X}.
+def unitary_eigenphases(u, tol=UNITARY_TOL):
+    """Eigenphases and eigenvectors of a unitary u = e^{-i X}, unitary within tol.
 
     Returns (lam, q) with lam the real eigenphases of X in (-pi, pi]
     sorted ascending (stable sort) and q the matching orthonormal
     eigenvector columns, so that u = q diag(e^{-i lam}) q^dagger.
-    Inside an exactly degenerate cluster the basis is arbitrary, so
-    branch offsets that differ within a cluster give a generator that
-    depends on it.
+    Inside an exactly degenerate cluster the basis is arbitrary.
     """
-    a = require_unitary(u)
+    a = require_unitary(u, tol=tol)
     w, v = np.linalg.eig(a)
     lam = -np.angle(w)
     lam = np.where(lam <= -np.pi, lam + 2.0 * np.pi, lam)
@@ -205,21 +204,6 @@ def unitary_eigenphases(u):
     # of the phase-sorted columns mixes columns only within a cluster
     q, _ = np.linalg.qr(v[:, order])
     return lam[order], q
-
-
-def _integer_offsets(offsets, n):
-    """offsets as an int array of shape (n,).
-
-    DimensionError for another shape; ValueError for an entry that is not
-    an integer (operator.index fails), so 0.7 is never truncated to 0.
-    """
-    raw = np.asarray(offsets)
-    if raw.shape != (n,):
-        raise DimensionError(f"branch offsets must have length {n}, got shape {raw.shape}")
-    try:
-        return np.array([operator.index(k) for k in raw.tolist()], dtype=int)
-    except TypeError:
-        raise ValueError(f"branch offsets must be integers, got {raw.tolist()}") from None
 
 
 def require_wind_below_budget(strength):

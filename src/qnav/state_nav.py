@@ -21,11 +21,18 @@ from .bloch import (
     CanonicalFrame,
     WindSpec,
     _antipodal,
+    _pauli_wind,
     _traceless_wind,
     build_canonical_frame,
 )
 from .errors import DimensionError
-from .linalg import HermitianOperator, StateVector, pauli_compose, split_background
+from .linalg import (
+    HermitianOperator,
+    StateVector,
+    pauli_compose,
+    require_wind_below_budget,
+    split_background,
+)
 from .minimize import golden_min
 from .oracle import checked_control
 
@@ -82,8 +89,11 @@ class NavigationTask:
     """State-transport problem: carry psi_initial to psi_final despite h0.
 
     A qubit task splits h0 once when built, with split_background, and
-    canonicalize reads that split. Larger tasks keep None there: the
-    qubit task that solve_embedded builds on their two-state block splits.
+    keeps (trace/2, a, eps) of it, a and eps the _pauli_wind of the traceless
+    part; canonicalize reads them. Construction holds both the split's
+    strength and eps to the budget, so it refuses every background that
+    canonicalize's WindSpec would. Larger tasks keep None there: the qubit
+    task that solve_embedded builds on their two-state block splits.
     The rest of the preparation is built at most once, on first use, and
     kept read-only on the task. For a qubit task, _canonical holds
     canonicalize's frame, wind and trace bookkeeping. For a larger one,
@@ -111,7 +121,10 @@ class NavigationTask:
         # the budget competes with the wind inside the two-state block,
         # which for larger dims is only known after reduction
         if self.h0.dim == 2:
-            object.__setattr__(self, "_h0_split", split_background(self.h0))
+            trace_half, traceless, _ = split_background(self.h0)
+            a, eps = _pauli_wind(traceless)
+            require_wind_below_budget(eps)
+            object.__setattr__(self, "_h0_split", (trace_half, a, eps))
 
     @functools.cached_property
     def _canonical(self):
@@ -121,11 +134,11 @@ class NavigationTask:
                 "direct navigation handles qubit tasks; reduce larger dims first"
             )
         frame = build_canonical_frame(self.psi_initial, self.psi_final)
-        trace_half, traceless, _ = self._h0_split
+        trace_half, a, eps = self._h0_split
         return CanonicalStateTask(
             theta=frame.theta,
             frame=frame,
-            wind=_traceless_wind(frame, traceless),
+            wind=_traceless_wind(frame, a, eps),
             h0_trace_half=trace_half,
         )
 

@@ -243,8 +243,10 @@ def test_solve_gate_branch_table(tmp_path, capsys):
     assert times == sorted(times)
     assert doc["voyage_time"] == pytest.approx(times[0], abs=1e-12)
     assert all(sum(row["branch"]) == 0 for row in table)
-    code, _ = run(capsys, ["solve-gate", task, "--max-branch", "-1"])
-    assert code == 2
+    # the offset bound reaches the CLI only through gate_nav, whose messages
+    # name no library parameter
+    assert main(["solve-gate", task, "--max-branch", "-1"]) == 2
+    assert capsys.readouterr().err == "error: branch offset bound must be >= 0, got -1\n"
 
 
 def test_solve_gate_answer_is_its_first_branch_table_row(tmp_path, capsys):
@@ -271,7 +273,40 @@ def test_solve_gate_branch_box_too_large(tmp_path, capsys):
     task = write_json(tmp_path / "g.json", gate_doc())
     code = main(["solve-gate", task, "--max-branch", "600000"])
     assert code == 2
-    assert "1200001" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: branch box (2*600000+1)^1 = 1200001 exceeds "
+        "MAX_BRANCH_CANDIDATES = 1048576; lower the offset bound\n"
+    )
+
+
+def test_near_tolerance_gate_file_solves(tmp_path, capsys):
+    """u_initial = (1 + 4.5e-11) H and u_final = (1 + 4.5e-11) S each pass the
+    input check, and their relation, 1.8e-10 from unitary, solves."""
+    scale = 1.0 + 4.5e-11
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    task = write_json(
+        tmp_path / "g.json",
+        gate_doc(u_initial=matrix_pairs(scale * hadamard), u_final=matrix_pairs(scale * np.diag([1.0, 1j]))),
+    )
+    code, out = run(capsys, ["solve-gate", task])
+    assert code == 0
+    assert json.loads(out)["gate_residual"] <= 1e-9
+
+
+def test_huge_wind_matrix_is_too_strong(tmp_path, capsys):
+    """An n = 3 wind matrix with eigenvalues 1e4, 0 and -1e4 in ten Haar
+    bases exits 3, too strong: the rounding of its rotation is not taken for
+    anti-Hermitian drift."""
+    rng = np.random.default_rng(7)
+    for k in range(10):
+        q = haar_unitary(rng, 3)
+        wind = q @ np.diag([1e4, 0.0, -1e4]) @ q.conj().T
+        doc = gate_doc(
+            u_initial=matrix_pairs(np.eye(3)), u_final=matrix_pairs(haar_unitary(rng, 3))
+        )
+        doc["wind"] = {"matrix": matrix_pairs(wind)}
+        assert main(["solve-gate", write_json(tmp_path / f"g{k}.json", doc)]) == 3
+        assert "reaches the unit control budget" in capsys.readouterr().err
 
 
 def test_identity_gate_exit_paths(tmp_path, capsys):

@@ -35,7 +35,7 @@ from qnav.gate_nav import (
     _canonical_phases,
     _offset_table,
 )
-from qnav.linalg import SIGMA_X, SIGMA_Z, hs_trace_product, split_background
+from qnav.linalg import SIGMA_X, SIGMA_Z, UNITARY_TOL, hs_trace_product, split_background
 
 from conftest import (
     haar_state,
@@ -111,6 +111,10 @@ def test_branch_validation():
         solve_gate(task, branch=(1, 0))
     with pytest.raises(DimensionError):
         solve_gate(task, branch=(1, -1, 0))
+    # a non-integral entry is named before the sum is taken
+    for branch in ((1.5, 0.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="integers"):
+            solve_gate(task, branch)
     with pytest.raises(ValueError):
         branch_survey(task, -1)
     with pytest.raises(ValueError):
@@ -273,6 +277,46 @@ def test_strong_wind_is_too_strong_at_any_scale(rng, n):
             h0 = HermitianOperator(scale * 0.5 * (z + z.conj().T))
             with pytest.raises(WindTooStrongError):
                 gate_task(haar_unitary(rng, n), h0)
+
+
+def _near_tolerance_pairs(rng, n, count=20):
+    """Pairs (u_initial, u_final) that each pass the input check while their
+    relation deviates from unitary by more: Haar unitaries scaled by
+    1 + 4.5e-11 (relation about 2 UNITARY_TOL off), and factors w s with
+    s = sqrt(I + c J), J all ones and c just under UNITARY_TOL, where
+    u_initial's w turns the ones vector onto e_0, so that u_initial
+    u_initial^H - I puts n c on one entry (relation about 2 n UNITARY_TOL off)."""
+    ones = np.ones(n) / np.sqrt(n)
+    w_vals, w_vecs = np.linalg.eigh(np.eye(n) + 0.999 * UNITARY_TOL * np.ones((n, n)))
+    root = (w_vecs * np.sqrt(w_vals)) @ w_vecs.T
+    for _ in range(count):
+        yield (1.0 + 4.5e-11) * haar_unitary(rng, n), (1.0 + 4.5e-11) * haar_unitary(rng, n)
+        turn, _ = np.linalg.qr(np.column_stack([ones, rng.normal(size=(n, n - 1))]))
+        yield turn.T @ root, haar_unitary(rng, n) @ root
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_near_tolerance_inputs_solve(rng, n):
+    """Two unitaries that each pass GateTask's check solve, and pass
+    gate_relation, although their relation deviates from unitary by up to
+    about 2 n UNITARY_TOL; the relation is held to 3 n UNITARY_TOL."""
+    worst = 0.0
+    for ui, uf in _near_tolerance_pairs(rng, n):
+        task = GateTask(u_initial=ui, u_final=uf, h0=random_traceless_hermitian(rng, n, 0.4))
+        rel = uf @ ui.conj().T
+        worst = max(worst, np.max(np.abs(rel.conj().T @ rel - np.eye(n))))
+        assert solve_gate_min_branch(task, 1).gate_residual <= 1e-9
+    assert 1.9 * n * UNITARY_TOL < worst < 3 * n * UNITARY_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_relation_made_non_unitary_still_raises(rng, n):
+    """A u_final swapped behind the frozen task's back, so that the relation
+    deviates by about 4 n UNITARY_TOL, is refused when the relation is decomposed."""
+    task = gate_task(haar_unitary(rng, n), HermitianOperator(np.zeros((n, n))), haar_unitary(rng, n))
+    object.__setattr__(task, "u_final", (1.0 + 2.0 * n * UNITARY_TOL) * task.u_final)
+    with pytest.raises(NotUnitaryError, match="deviates from unitary"):
+        solve_gate(task)
 
 
 def test_task_freezes_inputs(rng):
@@ -603,8 +647,8 @@ def test_canonical_phases_shift_the_ends_of_the_sorted_phases(rng, monkeypatch, 
     raw = []
     real = qnav.gate_nav.unitary_eigenphases
 
-    def spy(u):
-        lam, q = real(u)
+    def spy(u, **kwargs):
+        lam, q = real(u, **kwargs)
         raw.append(lam.copy())
         return lam, q
 

@@ -25,7 +25,6 @@ from qnav.linalg import (
     SIGMA_Z,
     UNITARY_TOL,
     _as_square_complex,
-    _integer_offsets,
     spectral_span,
     split_background,
     unitary_eigenphases,
@@ -170,14 +169,12 @@ def logm_unitary(u, branch_offsets=None):
     """Hermitian X with u = e^{-i X} on an explicit branch, from the exported parts.
 
     Eigenphases in the principal window (-pi, pi], ascending, each shifted
-    by 2*pi*branch_offsets[k] (all zeros by default); NotUnitaryError when
-    the result re-exponentiates to u with a residual above UNITARY_TOL.
-    The offsets pass the same validation as solve_gate's branch.
+    by 2*pi*branch_offsets[k] (plain ints, all zeros by default);
+    NotUnitaryError when the result re-exponentiates to u with a residual
+    above UNITARY_TOL.
     """
     lam, q = unitary_eigenphases(u)
-    if branch_offsets is None:
-        branch_offsets = np.zeros(lam.size, dtype=int)
-    offs = _integer_offsets(branch_offsets, lam.size)
+    offs = np.zeros(lam.size, dtype=int) if branch_offsets is None else np.asarray(branch_offsets)
     op = HermitianOperator((q * (lam + 2.0 * np.pi * offs)) @ q.conj().T)
     resid = float(np.max(np.abs(expm_unitary(op, 1.0) - np.asarray(u, dtype=complex))))
     if resid > UNITARY_TOL:
@@ -277,18 +274,6 @@ def test_logm_rejects_non_unitary():
         logm_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-def test_logm_rejects_bad_offsets():
-    with pytest.raises(DimensionError):
-        logm_unitary(np.eye(2), (1, 0, 0))
-
-
-@pytest.mark.parametrize("offsets", [(0.7, -0.7), (1.5, 0.0), (1.0, 0.0), (np.float64(1.0), 0)])
-def test_branch_generator_rejects_non_integral_offsets(offsets):
-    """Offsets used to be cast with dtype=int, so 0.7 became 0."""
-    with pytest.raises(ValueError, match="integers"):
-        logm_unitary(np.diag([np.exp(-0.3j), np.exp(0.3j)]), offsets)
-
-
 def test_branch_generator_takes_numpy_integers():
     u = np.diag([np.exp(-0.3j), np.exp(0.3j)])
     want = logm_unitary(u, (1, -1)).matrix
@@ -306,6 +291,28 @@ def test_hermitian_operator_rejects_large_drift():
     m = np.array([[1.0, 0.5 + 1e-10j], [0.5, -1.0]])
     with pytest.raises(NotHermitianError):
         HermitianOperator(m)
+
+
+def test_hermitian_operator_takes_rotated_matrices_at_scale(rng):
+    """Hermitian 3x3 matrices with entries near 1e4, turned by a Haar unitary,
+    carry rounding above 1e-12 absolute; none is refused."""
+    for _ in range(200):
+        z = 1e4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        q = haar_unitary(rng, 3)
+        m = q @ (0.5 * (z + z.conj().T)) @ q.conj().T
+        assert same_bits(HermitianOperator(m).matrix, 0.5 * (m + m.conj().T))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_hermitian_operator_rejects_drift_at_any_scale(rng, scale):
+    """A matrix with a relative anti-Hermitian part of 1e-6 is refused whatever its size."""
+    for n in (2, 3, 4):
+        for _ in range(20):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = scale * (0.5 * (z + z.conj().T) + 0.5e-6 * (w - w.conj().T))
+            with pytest.raises(NotHermitianError):
+                HermitianOperator(m)
 
 
 SIGNED_COEFFICIENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0)
@@ -339,38 +346,43 @@ def test_pauli_compose_is_the_sigma_sum_bytewise(rng):
 
 
 def two_adjoint_hermitian(m):
-    """HermitianOperator's check and symmetrisation as written before it formed
-    the adjoint once: (drift, symmetrised matrix or None when rejected)."""
+    """HermitianOperator's check, drift above HERMITIAN_DRIFT_TOL times
+    max(1, |m|_F), and symmetrisation written with the adjoint formed twice:
+    (drift, symmetrised matrix or None when rejected)."""
     a = np.asarray(m, dtype=complex)
     drift = np.abs(a - a.conj().T).max()
-    if drift > HERMITIAN_DRIFT_TOL:
+    if drift > HERMITIAN_DRIFT_TOL * max(1.0, np.linalg.norm(a)):
         return drift, None
     return drift, 0.5 * (a + a.conj().T)
 
 
 def test_hermitian_operator_matches_the_two_adjoint_constructor(rng):
-    """Bytes and drift verdicts equal the earlier constructor's on seeded
-    matrices, with drifts 0, far below, just under, at, just over and far
-    above HERMITIAN_DRIFT_TOL."""
+    """Bytes and drift verdicts equal the written-out constructor's on seeded
+    matrices of entries near 1 and near 1e4, with drifts 0, far below, just
+    under, at, just over and far above the bound."""
     verdicts = set()
     for n in (2, 3, 4, 5):
-        for scale in (0.0, 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1e3):
-            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            skew = w - w.conj().T
-            # m - m^H = skew * k, so the drift is k max|skew| up to rounding
-            k = scale * HERMITIAN_DRIFT_TOL / np.abs(skew).max()
-            m = 0.5 * (z + z.conj().T) + 0.5 * k * skew
-            drift, want = two_adjoint_hermitian(m)
-            verdicts.add(want is None)
-            if want is None:
-                with pytest.raises(NotHermitianError) as err:
-                    HermitianOperator(m)
-                assert str(err.value) == (
-                    f"anti-Hermitian drift {drift:.3e} exceeds {HERMITIAN_DRIFT_TOL:.0e}"
-                )
-            else:
-                assert same_bits(HermitianOperator(m).matrix, want)
+        for size in (1.0, 1e4):
+            for scale in (0.0, 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1e3):
+                z = size * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                skew = w - w.conj().T
+                h = 0.5 * (z + z.conj().T)
+                # m - m^H = skew * k, so the drift is k max|skew| up to rounding
+                bound = HERMITIAN_DRIFT_TOL * max(1.0, np.linalg.norm(h))
+                k = scale * bound / np.abs(skew).max()
+                m = h + 0.5 * k * skew
+                drift, want = two_adjoint_hermitian(m)
+                verdicts.add(want is None)
+                if want is None:
+                    with pytest.raises(NotHermitianError) as err:
+                        HermitianOperator(m)
+                    assert str(err.value) == (
+                        f"anti-Hermitian drift {drift:.3e} exceeds {HERMITIAN_DRIFT_TOL:.0e}"
+                        " times max(1, Frobenius norm)"
+                    )
+                else:
+                    assert same_bits(HermitianOperator(m).matrix, want)
     assert verdicts == {True, False}
 
 

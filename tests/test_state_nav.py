@@ -1222,6 +1222,37 @@ def test_task_rejects_strong_wind():
         NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=wind_from_axis(1.1, [0, 0, 1.0]))
 
 
+def canonical_wind_refused(h0):
+    """canonicalize's budget verdict on a qubit background, written out: the
+    split's strength tr(T^2) or the WindSpec strength 2|a|^2 of the traceless
+    part T = h0 - tr(h0)/2 reaches the unit budget."""
+    traceless = HermitianOperator(h0.matrix - 0.5 * np.trace(h0.matrix).real * np.eye(2))
+    _, a = pauli_decompose(traceless)
+    strength = np.trace(traceless.matrix @ traceless.matrix).real
+    return strength >= 1.0 or 2.0 * float(a.dot(a)) >= 1.0
+
+
+def test_task_refuses_exactly_what_canonicalize_would():
+    """Backgrounds of strength 1 - k 1.1e-16 (k = 1..5) on seeded axes and
+    trace shifts: a qubit task is refused at construction exactly when
+    canonicalize would refuse its wind, and every task built canonicalizes."""
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for i in range(2000):
+        eps = 1.0 - (1 + i % 5) * 1.1e-16
+        h0 = pauli_compose(rng.uniform(-2.0, 2.0), np.sqrt(eps / 2.0) * random_unit_axis(rng))
+        psi_i, psi_f = haar_state(rng), haar_state(rng)
+        refused = canonical_wind_refused(h0)
+        outcomes.add(refused)
+        if refused:
+            with pytest.raises(WindTooStrongError):
+                NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)
+        else:
+            task = NavigationTask(psi_initial=psi_i, psi_final=psi_f, h0=h0)
+            assert canonicalize(task).wind.epsilon < 1.0
+    assert outcomes == {True, False}
+
+
 def zermelo_time(task):
     """T_Z, the least time in which any control at full budget, time-dependent
     ones included, carries psi_i to psi_f; it shares nothing with the solver.
