@@ -18,6 +18,7 @@ from qnav import (
     pauli_decompose,
 )
 from qnav.bloch import CanonicalFrame, angular_separation, state_to_bloch
+from qnav.gate_nav import _branch_offsets
 from qnav.linalg import (
     HERMITIAN_DRIFT_TOL,
     SIGMA_X,
@@ -272,6 +273,21 @@ def test_logm_swap_is_basis_independent(rng):
 def test_logm_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         logm_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def test_logm_rejects_bad_offsets():
+    """Branch offsets are checked by gate_nav's one validator, whose shape
+    check refuses a branch of the wrong length."""
+    with pytest.raises(DimensionError):
+        _branch_offsets((1, 0, 0), 2)
+
+
+@pytest.mark.parametrize("offsets", [(0.7, -0.7), (1.5, 0.0), (1.0, 0.0), (np.float64(1.0), 0)])
+def test_branch_generator_rejects_non_integral_offsets(offsets):
+    """Offsets used to be cast with dtype=int, so 0.7 became 0; the validator
+    names a non-integral entry before it takes the sum."""
+    with pytest.raises(ValueError, match="integers"):
+        _branch_offsets(offsets, 2)
 
 
 def test_branch_generator_takes_numpy_integers():
